@@ -53,12 +53,20 @@ class SpaceContext:
     identities closure(A) = union of closures of points of A and
     kernel(A) = union of kernels; tests cross-check the tables against the
     direct intersection-of-supersets definitions.
+
+    The context also memoizes results for as long as it lives: ``reports``
+    holds each ``check_space`` report by (axiom, mode), and ``flags`` the
+    ``dynamics.classify_space`` result.  A memo only stores what the route's
+    own checker returned, so the definitional and characterized verdicts stay
+    independent.
     """
 
     def __init__(self, top: FiniteTopology, pre: Preorder | None = None):
         self.top = top
         self.n = top.n
         self.full = top.full_bits
+        self.reports: dict[tuple[str, str], AxiomReport] = {}
+        self.flags: tuple | None = None
         if pre is not None:
             self.__dict__["pre"] = pre
 
@@ -837,12 +845,19 @@ def _space_eval(ctx: SpaceContext, spec: AxiomSpec, mode: str) -> tuple[bool, di
 
 def check_space(top: FiniteTopology, axiom: str, mode: str = DEFINITIONAL,
                 ctx: SpaceContext | None = None) -> AxiomReport:
-    """Evaluate one axiom on the whole space; false verdicts carry a witness."""
-    spec = _resolve(axiom)
+    """Evaluate one axiom on the whole space; false verdicts carry a witness.
+
+    With a context the report is memoized on it by (axiom, mode), so a
+    repeated request returns the same report without re-evaluating.
+    """
     if ctx is None:
         ctx = SpaceContext(top)
-    verdict, witness = _space_eval(ctx, spec, mode)
-    return AxiomReport(axiom, mode, verdict, witness)
+    key = (axiom, mode)
+    report = ctx.reports.get(key)
+    if report is None:
+        verdict, witness = _space_eval(ctx, _resolve(axiom), mode)
+        report = ctx.reports[key] = AxiomReport(axiom, mode, verdict, witness)
+    return report
 
 
 def check_point(top: FiniteTopology, axiom: str, point: int, mode: str = DEFINITIONAL,

@@ -42,7 +42,7 @@ from .core import (
 from .dynamics import classify_space, is_anosov_type
 from .enumerate import (
     MAX_POINTS,
-    SizeTooLargeError,
+    SizeError,
     _REGISTRY,
     count_topologies,
     enumerate_topologies,
@@ -57,6 +57,9 @@ EXIT_INVALID = 3
 
 # classify and hasse build full subset tables, so cap document size
 MAX_DOC_POINTS = 12
+
+# the properties of docs/spacedoc.schema.json, which allows no others
+_DOC_KEYS = frozenset({"points", "opens", "leq", "closure", "labels"})
 
 _MODE_KEYS = {DEFINITIONAL: "def", CHARACTERIZED: "char"}
 
@@ -94,11 +97,15 @@ def _point_list(doc: Any, what: str, n: int) -> int:
 def parse_space_doc(doc: Any) -> tuple[FiniteTopology, list[str] | None]:
     """Turn a space document into a validated topology plus optional labels.
 
-    Shape problems raise DocumentError; a well-formed opens family that
-    violates the topology axioms raises TopologyError.
+    Shape problems, keys outside docs/spacedoc.schema.json included, raise
+    DocumentError; a well-formed opens family that violates the topology
+    axioms raises TopologyError.
     """
     if not isinstance(doc, dict):
         raise DocumentError("space document must be a JSON object")
+    unknown = sorted(set(doc) - _DOC_KEYS)
+    if unknown:
+        raise DocumentError(f"unknown document keys: {', '.join(unknown)}")
     n = doc.get("points")
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise DocumentError("points must be a nonnegative integer")
@@ -110,7 +117,7 @@ def parse_space_doc(doc: Any) -> tuple[FiniteTopology, list[str] | None]:
         raise DocumentError("exactly one of opens or leq is required")
 
     labels = doc.get("labels")
-    if labels is not None:
+    if "labels" in doc:
         if (not isinstance(labels, list) or len(labels) != n
                 or not all(isinstance(s, str) for s in labels)):
             raise DocumentError(f"labels must be {n} strings")
@@ -118,6 +125,8 @@ def parse_space_doc(doc: Any) -> tuple[FiniteTopology, list[str] | None]:
             raise DocumentError("labels must be unique")
 
     if has_opens:
+        if doc.get("closure", "reflexive-transitive") != "reflexive-transitive":
+            raise DocumentError('closure must be "reflexive-transitive"')
         raw = doc["opens"]
         if not isinstance(raw, list):
             raise DocumentError("opens must be a list of subsets")
@@ -238,7 +247,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             return EXIT_USAGE
     try:
         findings = verify_all(ids, n_max=args.n_max, jobs=args.jobs)
-    except SizeTooLargeError as exc:
+    except SizeError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
     refuted = sum(1 for f in findings if f.asserted and f.status == "refuted")
@@ -292,7 +301,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             sys.stdout.write(f"{sum(1 for _ in enumerate_topologies(args.n, up_to_iso=True))}\n")
         else:
             sys.stdout.write(f"{count_topologies(args.n)}\n")
-    except SizeTooLargeError as exc:
+    except SizeError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
     return EXIT_OK

@@ -394,6 +394,28 @@ class Preorder:
         down = self.down
         return tuple(self.up[x] & down[x] for x in range(self.n))
 
+    @cached_property
+    def class_poset(self) -> ClassPoset:
+        """The partial order induced on the equivalence classes."""
+        cls = self.cls
+        blocks: list[int] = []
+        seen: set[int] = set()
+        for x in range(self.n):
+            m = cls[x]
+            if m not in seen:
+                seen.add(m)
+                blocks.append(m)
+        reps = [b & -b for b in blocks]
+        leq = []
+        for b in reps:
+            row = 0
+            up_x = self.up[b.bit_length() - 1]
+            for j, c in enumerate(reps):
+                if up_x >> (c.bit_length() - 1) & 1:
+                    row |= 1 << j
+            leq.append(row)
+        return ClassPoset(self.n, tuple(blocks), tuple(leq))
+
 
 def alexandrov(pre: Preorder) -> FiniteTopology:
     """The topology whose opens are exactly the upsets of the preorder."""
@@ -443,25 +465,12 @@ class ClassPoset:
 
 
 def class_poset(pre: Preorder) -> ClassPoset:
-    """Collapse a preorder to the partial order on its equivalence classes."""
-    cls = pre.cls
-    blocks: list[int] = []
-    seen: set[int] = set()
-    for x in range(pre.n):
-        m = cls[x]
-        if m not in seen:
-            seen.add(m)
-            blocks.append(m)
-    reps = [b & -b for b in blocks]
-    leq = []
-    for b in reps:
-        x = b.bit_length() - 1
-        row = 0
-        for j, c in enumerate(reps):
-            if pre.up[x] >> (c.bit_length() - 1) & 1:
-                row |= 1 << j
-        leq.append(row)
-    return ClassPoset(pre.n, tuple(blocks), tuple(leq))
+    """Collapse a preorder to the partial order on its equivalence classes.
+
+    The result is cached on the preorder, so every caller holding the same
+    preorder shares one build.
+    """
+    return pre.class_poset
 
 
 def disjoint_union(tops: Iterable[FiniteTopology]) -> FiniteTopology:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import SpaceContext
+from .axioms import SpaceContext, _is_downset
 from .core import FiniteTopology, bit_indices
 
 
@@ -33,13 +33,6 @@ class DynClass:
     non_indifferent: bool
     saddle_like: bool
     hyperbolic_like: bool
-
-
-def _is_downset(ctx: SpaceContext, bits: int) -> bool:
-    for y in bit_indices(bits):
-        if ctx.down[y] & ~bits:
-            return False
-    return True
 
 
 def _recurrent(ctx: SpaceContext, x: int) -> bool:
@@ -110,9 +103,19 @@ def _non_wandering_mask(ctx: SpaceContext) -> int:
 
 
 def classify_space(top: FiniteTopology, ctx: SpaceContext | None = None) -> tuple[DynClass, ...]:
-    """All dynamical flags for every point, in point order."""
+    """All dynamical flags for every point, in point order.
+
+    The result is memoized on the context, so later calls with the same
+    context return the same tuple.
+    """
     if ctx is None:
         ctx = SpaceContext(top)
+    if ctx.flags is None:
+        ctx.flags = _classify(ctx)
+    return ctx.flags
+
+
+def _classify(ctx: SpaceContext) -> tuple[DynClass, ...]:
     nw = _non_wandering_mask(ctx)
     out = []
     for x in range(ctx.n):

@@ -17,6 +17,7 @@ asserted=False: their refutations are reportable findings, not failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
@@ -33,7 +34,6 @@ from .core import (
     Preorder,
     alexandrov,
     bit_indices,
-    class_poset,
     disjoint_union,
 )
 from .decomp import Decomposition, iter_partitions, lemma001_check, quotient, tau_F
@@ -45,18 +45,22 @@ from .dynamics import (
     recurrent_vs_hyperbolic_check,
     saddle_equivalences_check,
 )
-from .order import _pre_chain_mask, comparability_components, heights
+from .order import _pre_chain_mask, comparability_components
 
 MAX_POINTS = 7
 
 
-class SizeTooLargeError(ValueError):
+class SizeError(ValueError):
+    """Raised when an enumeration request names an unsupported carrier size."""
+
+
+class SizeTooLargeError(SizeError):
     """Raised when an enumeration request exceeds the supported carrier size."""
 
 
 def _check_size(n: int) -> None:
     if n < 0:
-        raise ValueError("carrier size must be nonnegative")
+        raise SizeError("carrier size must be nonnegative")
     if n > MAX_POINTS:
         raise SizeTooLargeError(f"carrier size {n} exceeds the supported maximum {MAX_POINTS}")
 
@@ -656,8 +660,9 @@ def _check_lambda_collapse(ctx: SpaceContext) -> dict | None:
 
 @_theorem("class_space_t0_idempotent", "the class space is T0 and a fixed point of the construction")
 def _check_class_space(ctx: SpaceContext) -> dict | None:
-    qtop, _ = ctx.top.class_space()
-    if not check_space(qtop, "T0", DEFINITIONAL).verdict:
+    qctx, _ = ctx.class_ctx
+    qtop = qctx.top
+    if not check_space(qtop, "T0", DEFINITIONAL, qctx).verdict:
         return {"reason": "class space not T0"}
     qq, _ = qtop.class_space()
     if qq.opens != qtop.opens:
@@ -667,12 +672,11 @@ def _check_class_space(ctx: SpaceContext) -> dict | None:
 
 @_theorem("class_space_height_preserved", "passing to the class space preserves heights")
 def _check_heights(ctx: SpaceContext) -> dict | None:
-    qtop, mapping = ctx.top.class_space()
-    qctx = SpaceContext(qtop)
+    qctx, mapping = ctx.class_ctx
     if ctx.ht != qctx.ht:
         return {"space_height": ctx.ht, "class_height": qctx.ht}
-    per_point, _ = heights(ctx.pre)
-    qper, _ = heights(qctx.pre)
+    per_point = ctx.heights_pp
+    qper = qctx.heights_pp
     for x in range(ctx.n):
         if per_point[x] != qper[mapping[x]]:
             return {"point": x, "height": per_point[x], "class_height": qper[mapping[x]]}
@@ -797,13 +801,76 @@ def _check_exceptional(ctx: SpaceContext) -> dict | None:
     return None
 
 
+# bit of (axiom, mode) in the verdict words of _SummandVerdicts
+_VERDICT_BIT = {
+    (axiom, mode): 2 * i + j
+    for i, axiom in enumerate(AXIOMS)
+    for j, mode in enumerate((DEFINITIONAL, CHARACTERIZED))
+}
+
+
+class _SummandVerdicts:
+    """Summand verdicts of one pair sweep, two ints per summand.
+
+    A summand is keyed by its position (n, index) in the sweep's pools.  Bit
+    _VERDICT_BIT[axiom, mode] of known[n][index] is set once that verdict has
+    been computed, and the same bit of value[n][index] holds it.
+    """
+
+    def __init__(self, pools: list[list[FiniteTopology]]):
+        self.pools = pools
+        self.known = [[0] * len(pool) for pool in pools]
+        self.value = [[0] * len(pool) for pool in pools]
+
+
+class PairCase:
+    """One ordered pair of the pair sweep: both summands and their union.
+
+    The union and its context are built on first use and shared by every
+    pair theorem.  Summand verdicts are looked up in the sweep's memo and
+    computed, on a context built for this pair, only on a miss.
+    """
+
+    def __init__(self, memo: _SummandVerdicts, left: tuple[int, int], right: tuple[int, int]):
+        self.memo = memo
+        self.keys = (left, right)
+        self.left = memo.pools[left[0]][left[1]]
+        self.right = memo.pools[right[0]][right[1]]
+        self._summand_ctx: list[SpaceContext | None] = [None, None]
+
+    @cached_property
+    def union(self) -> FiniteTopology:
+        return disjoint_union([self.left, self.right])
+
+    @cached_property
+    def ctx(self) -> SpaceContext:
+        return SpaceContext(self.union)
+
+    def union_verdict(self, axiom: str, mode: str) -> bool:
+        return check_space(self.union, axiom, mode, self.ctx).verdict
+
+    def summand_verdict(self, side: int, axiom: str, mode: str) -> bool:
+        """Verdict on the left (side 0) or right (side 1) summand."""
+        n, i = self.keys[side]
+        memo = self.memo
+        bit = 1 << _VERDICT_BIT[axiom, mode]
+        if not memo.known[n][i] & bit:
+            ctx = self._summand_ctx[side]
+            if ctx is None:
+                top = self.right if side else self.left
+                ctx = self._summand_ctx[side] = SpaceContext(top)
+            memo.known[n][i] |= bit
+            if check_space(ctx.top, axiom, mode, ctx).verdict:
+                memo.value[n][i] |= bit
+        return bool(memo.value[n][i] & bit)
+
+
 def _du_invariance(axiom: str) -> Callable:
-    def run(left: FiniteTopology, right: FiniteTopology) -> dict | None:
-        union = disjoint_union([left, right])
+    def run(pair: PairCase) -> dict | None:
         for mode in (DEFINITIONAL, CHARACTERIZED):
-            vu = check_space(union, axiom, mode).verdict
-            vl = check_space(left, axiom, mode).verdict
-            vr = check_space(right, axiom, mode).verdict
+            vu = pair.union_verdict(axiom, mode)
+            vl = pair.summand_verdict(0, axiom, mode)
+            vr = pair.summand_verdict(1, axiom, mode)
             if vu != (vl and vr):
                 return {"axiom": axiom, "mode": mode,
                         "union": vu, "left": vl, "right": vr}
@@ -818,8 +885,8 @@ for _tid, _axiom in (("du_tm1", "T-1"), ("du_t14", "T1/4"),
 
 
 @_theorem("du_closure_restriction", "closures in a disjoint union restrict to summand closures", scope="pair")
-def _check_du_closure(left: FiniteTopology, right: FiniteTopology) -> dict | None:
-    union = disjoint_union([left, right])
+def _check_du_closure(pair: PairCase) -> dict | None:
+    left, right, union = pair.left, pair.right, pair.union
     for a in range(1 << left.n):
         if union.closure_bits(a) != left.closure_bits(a):
             return {"side": "left", "subset": sorted(bit_indices(a))}
@@ -887,7 +954,34 @@ def _run_space_chunk(ids: list[str], n: int, codes: list[int]) -> dict:
     return out
 
 
-def _merge_space_results(parts: list[dict], ids: list[str]) -> dict:
+def _run_space_task(task: tuple[list[str], int, list[int]]) -> dict:
+    return _run_space_chunk(*task)
+
+
+def _space_parts(ids: list[str], n_max: int, jobs: int) -> Iterator[dict]:
+    """Chunk results of the space sweep, each yielded as soon as it is done.
+
+    With jobs > 1 the larger sizes are cut into small slices that one pool
+    hands out one at a time: a worker that runs ahead takes the next slice,
+    so neither is left with a long tail while the other idles.  Parts come
+    in completion order; the merge does not depend on it.
+    """
+    tasks = []
+    for n in range(n_max + 1):
+        codes = [preorder_encoding(p) for p in enumerate_preorders(n)]
+        if jobs > 1 and len(codes) > 256:
+            chunk = max(64, len(codes) // (jobs * 32))
+            tasks.extend((ids, n, codes[i:i + chunk]) for i in range(0, len(codes), chunk))
+        else:
+            yield _run_space_chunk(ids, n, codes)
+    if tasks:
+        from multiprocessing import Pool
+
+        with Pool(jobs) as pool:
+            yield from pool.imap_unordered(_run_space_task, tasks)
+
+
+def _merge_space_results(parts: Iterable[dict], ids: list[str]) -> dict:
     merged = {tid: [0, None] for tid in ids}
     for part in parts:
         for tid in ids:
@@ -900,6 +994,32 @@ def _merge_space_results(parts: list[dict], ids: list[str]) -> dict:
     return merged
 
 
+def _run_pair_scope(ids: list[str], cap: int) -> dict:
+    acc: dict[str, list] = {tid: [0, None] for tid in ids}
+    pools = [list(enumerate_topologies(n)) for n in range(cap + 1)]
+    memo = _SummandVerdicts(pools)
+    for total in range(cap + 1):
+        for na in range(total + 1):
+            nb = total - na
+            for ia, left in enumerate(pools[na]):
+                for ib, right in enumerate(pools[nb]):
+                    pair = PairCase(memo, (na, ia), (nb, ib))
+                    for tid in ids:
+                        slot = acc[tid]
+                        slot[0] += 1
+                        if slot[1] is None:
+                            detail = _REGISTRY[tid].check(pair)
+                            if detail is not None:
+                                slot[1] = {
+                                    "n_left": na,
+                                    "left_opens": [sorted(bit_indices(u)) for u in left.opens],
+                                    "n_right": nb,
+                                    "right_opens": [sorted(bit_indices(u)) for u in right.opens],
+                                    **detail,
+                                }
+    return acc
+
+
 def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) -> list[Finding]:
     """Run theorems over all spaces (pairs, partitions) up to the size caps.
 
@@ -909,6 +1029,10 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     to min(n_max, 4) points.  The sweep always completes, so counts are
     cap-determined and witnesses are minimal; jobs > 1 splits the space sweep
     across processes with a deterministic merge.
+
+    Each space is evaluated once: its SpaceContext memoizes verdicts while
+    its theorems run, and the pair sweep keeps each summand's verdicts for
+    the length of this call.  Nothing is cached across calls.
     """
     import time
 
@@ -922,46 +1046,10 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     results: dict[str, list] = {}
 
     if space_ids:
-        parts = []
-        for n in range(n_max + 1):
-            codes = [preorder_encoding(p) for p in enumerate_preorders(n)]
-            if jobs > 1 and len(codes) > 256:
-                from multiprocessing import Pool
-
-                chunk = max(64, len(codes) // (jobs * 8))
-                slices = [codes[i:i + chunk] for i in range(0, len(codes), chunk)]
-                with Pool(jobs) as pool:
-                    parts.extend(pool.starmap(
-                        _run_space_chunk,
-                        [(space_ids, n, s) for s in slices],
-                    ))
-            else:
-                parts.append(_run_space_chunk(space_ids, n, codes))
-        results.update(_merge_space_results(parts, space_ids))
+        results.update(_merge_space_results(_space_parts(space_ids, n_max, jobs), space_ids))
 
     if pair_ids:
-        pair_cap = min(n_max, 5)
-        acc = {tid: [0, None] for tid in pair_ids}
-        pools = {n: list(enumerate_topologies(n)) for n in range(pair_cap + 1)}
-        for total in range(pair_cap + 1):
-            for na in range(total + 1):
-                nb = total - na
-                for left in pools[na]:
-                    for right in pools[nb]:
-                        for tid in pair_ids:
-                            slot = acc[tid]
-                            slot[0] += 1
-                            if slot[1] is None:
-                                detail = _REGISTRY[tid].check(left, right)
-                                if detail is not None:
-                                    slot[1] = {
-                                        "n_left": na,
-                                        "left_opens": [sorted(bit_indices(u)) for u in left.opens],
-                                        "n_right": nb,
-                                        "right_opens": [sorted(bit_indices(u)) for u in right.opens],
-                                        **detail,
-                                    }
-        results.update(acc)
+        results.update(_run_pair_scope(pair_ids, min(n_max, 5)))
 
     if partition_ids:
         part_cap = min(n_max, 4)

@@ -8,6 +8,8 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from finitetop.cli import DocumentError, parse_space_doc
+
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 SPACE_SCHEMA = json.loads((DOCS / "spacedoc.schema.json").read_text())
 REPORT_SCHEMA = json.loads((DOCS / "report.schema.json").read_text())
@@ -91,6 +93,33 @@ class TestClassify:
             rc, _, _ = run_cli("classify", stdin=json.dumps(bad))
             assert rc == 2, bad
 
+    def test_parser_accepts_what_the_schema_accepts(self):
+        validator = jsonschema.Draft202012Validator(SPACE_SCHEMA)
+        docs = [
+            SIERPINSKI_DOC,
+            GOLDEN4_DOC,
+            MIN_S1_DOC,
+            {"points": 2, "opens": [[], [0], [0, 1]], "closure": "reflexive-transitive"},
+            {"points": 2, "opens": [[], [0], [0, 1]], "bogus": 1},
+            {"points": 2, "leq": [], "closure": "reflexive-transitive", "extra": None},
+            {"points": 2, "opens": [[], [0], [0, 1]], "closure": "transitive"},
+            {"points": 2, "opens": [[], [0], [0, 1]], "labels": None},
+            {"points": 2, "opens": [[], [0], [0, 1]], "labels": ["a", "a"]},
+            {"points": 2, "leq": [[0, 1]]},
+            {"points": 2},
+            {"opens": [[]]},
+            [],
+        ]
+        for doc in docs:
+            try:
+                parse_space_doc(doc)
+                accepted = True
+            except DocumentError:
+                accepted = False
+            assert accepted == validator.is_valid(doc), doc
+            rc, _, _ = run_cli("classify", stdin=json.dumps(doc))
+            assert (rc == 0) == accepted and rc in (0, 2), doc
+
     def test_unknown_axiom_filter_exit2(self):
         rc, _, _ = run_cli("classify", "--axioms", "T9",
                            stdin=json.dumps(SIERPINSKI_DOC))
@@ -133,6 +162,11 @@ class TestVerifyCommand:
     def test_oversize_exit2(self):
         rc, _, _ = run_cli("verify", "t0_char", "--n-max", "8")
         assert rc == 2
+
+    def test_negative_size_exit2(self):
+        rc, out, err = run_cli("verify", "all", "--n-max", "-1")
+        assert rc == 2 and out == ""
+        assert err.splitlines() == ["carrier size must be nonnegative"]
 
 
 class TestHasse:
@@ -192,6 +226,12 @@ class TestEnumerateCommand:
     def test_oversize_exit2(self):
         rc, _, _ = run_cli("enumerate", "8")
         assert rc == 2
+
+    def test_negative_size_exit2(self):
+        for flags in ((), ("--emit",), ("--up-to-iso",)):
+            rc, out, err = run_cli("enumerate", "-1", *flags)
+            assert rc == 2 and out == "", flags
+            assert err.splitlines() == ["carrier size must be nonnegative"], flags
 
     def test_flags_mutually_exclusive(self):
         rc, _, _ = run_cli("enumerate", "2", "--emit", "--count-only")

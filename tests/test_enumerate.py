@@ -147,10 +147,13 @@ class TestVerify:
         assert not any(f.asserted and f.status == "refuted" for f in findings)
 
     def test_jobs_do_not_change_findings(self):
-        base = verify_all(["t0_char", "sd_mixed_probe"], n_max=4, jobs=1)
-        par = verify_all(["t0_char", "sd_mixed_probe"], n_max=4, jobs=2)
+        # the 355 spaces on 4 points go out as slices that finish in any order
+        ids = [t.id for t in theorems() if t.scope == "space"]
         strip = lambda fs: [(f.theorem, f.status, f.spaces_checked, f.witness) for f in fs]
-        assert strip(base) == strip(par)
+        base = strip(verify_all(ids, n_max=4, jobs=1))
+        assert any(status == "refuted" for _, status, _, _ in base)
+        for jobs in (2, 3):
+            assert strip(verify_all(ids, n_max=4, jobs=jobs)) == base
 
     def test_json_dict_shape(self):
         f = verify("t0_char", n_max=2)
