@@ -23,6 +23,7 @@ from typing import Callable
 
 from .core import FiniteTopology, Preorder, bit_indices, class_poset
 from .order import (
+    _down_closure,
     _down_directed_mask,
     bottoms_mask,
     bouquet_root,
@@ -585,10 +586,7 @@ def _fd_form_holds(ctx: SpaceContext, up: tuple[int, ...], down: tuple[int, ...]
     suffices to check that canonical choice.
     """
     for a in range(1 << n):
-        down_a = 0
-        for x in bit_indices(a):
-            down_a |= down[x]
-        d = down_a & ~a
+        d = _down_closure(down, a) & ~a
         # d is a downset iff no element of d sits above a point of a
         if any(down[y] & a for y in bit_indices(d)):
             return a

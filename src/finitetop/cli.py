@@ -83,11 +83,27 @@ def _load_json(path: str) -> Any:
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 
+def _index(value: Any) -> int | None:
+    """A JSON integer as an int, else None.
+
+    As in JSON Schema, a float with no fractional part such as 2.0 is an
+    integer, and a boolean is not.
+    """
+    if isinstance(value, bool):
+        return None
+    if isinstance(value, int):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return None
+
+
 def _point_list(doc: Any, what: str, n: int) -> int:
-    if not isinstance(doc, list) or not all(isinstance(p, int) and not isinstance(p, bool) for p in doc):
+    points = [_index(p) for p in doc] if isinstance(doc, list) else None
+    if points is None or None in points:
         raise DocumentError(f"{what} must be a list of point indices")
     bits = 0
-    for p in doc:
+    for p in points:
         if not 0 <= p < n:
             raise DocumentError(f"{what} contains point {p} outside 0..{n - 1}")
         bits |= 1 << p
@@ -106,8 +122,8 @@ def parse_space_doc(doc: Any) -> tuple[FiniteTopology, list[str] | None]:
     unknown = sorted(set(doc) - _DOC_KEYS)
     if unknown:
         raise DocumentError(f"unknown document keys: {', '.join(unknown)}")
-    n = doc.get("points")
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    n = _index(doc.get("points"))
+    if n is None or n < 0:
         raise DocumentError("points must be a nonnegative integer")
     if n > MAX_DOC_POINTS:
         raise DocumentError(f"points {n} exceeds the document cap {MAX_DOC_POINTS}")
@@ -140,10 +156,10 @@ def parse_space_doc(doc: Any) -> tuple[FiniteTopology, list[str] | None]:
         raise DocumentError("leq must be a list of [lower, upper] pairs")
     pairs = []
     for item in raw:
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)):
+        pair = [_index(v) for v in item] if isinstance(item, list) else []
+        if len(pair) != 2 or None in pair:
             raise DocumentError("leq entries must be [lower, upper] index pairs")
-        x, y = item
+        x, y = pair
         if not (0 <= x < n and 0 <= y < n):
             raise DocumentError(f"leq pair [{x}, {y}] outside 0..{n - 1}")
         pairs.append((x, y))

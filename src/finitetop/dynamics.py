@@ -17,8 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import SpaceContext, _is_downset
+# a point is recurrent when its class is closed or its derived set is not,
+# and proper when its derived set is closed: the recurrent and TD order forms
+from .axioms import SpaceContext, _c_recurrent as _recurrent, _c_td as _proper
 from .core import FiniteTopology, bit_indices
+from .order import _down_closure
 
 
 @dataclass(frozen=True)
@@ -33,17 +36,6 @@ class DynClass:
     non_indifferent: bool
     saddle_like: bool
     hyperbolic_like: bool
-
-
-def _recurrent(ctx: SpaceContext, x: int) -> bool:
-    # class closed, or the derived set of the point is not closed
-    if ctx.down[x] == ctx.cls[x]:
-        return True
-    return not _is_downset(ctx, ctx.down[x] & ~(1 << x))
-
-
-def _proper(ctx: SpaceContext, x: int) -> bool:
-    return _is_downset(ctx, ctx.down[x] & ~(1 << x))
 
 
 def _maximal(ctx: SpaceContext, x: int) -> bool:
@@ -79,10 +71,7 @@ def _weakly_saddle_like(ctx: SpaceContext, x: int) -> bool:
     for y in bit_indices(shell_cls):
         half_open = shell_cls & ctx.down[y]
         probe = half_open & ~(1 << y)
-        closure = 0
-        for z in bit_indices(probe):
-            closure |= ctx.down[z]
-        if closure >> x & 1:
+        if _down_closure(ctx.down, probe) >> x & 1:
             return True
     return False
 
@@ -95,11 +84,16 @@ def _strong_tail(ctx: SpaceContext, x: int) -> bool:
 
 
 def _non_wandering_mask(ctx: SpaceContext) -> int:
-    r = recurrent_mask(ctx)
-    closure = 0
-    for x in bit_indices(r):
-        closure |= ctx.down[x]
-    return ctx.top.interior_bits(closure)
+    return ctx.top.interior_bits(_down_closure(ctx.down, recurrent_mask(ctx)))
+
+
+def _class_sizes(ctx: SpaceContext) -> list[int]:
+    """Number of points in each class, indexed by class-space point."""
+    qctx, mapping = ctx.class_ctx
+    sizes = [0] * qctx.n
+    for b in mapping:
+        sizes[b] += 1
+    return sizes
 
 
 def classify_space(top: FiniteTopology, ctx: SpaceContext | None = None) -> tuple[DynClass, ...]:
@@ -165,10 +159,7 @@ def is_anosov_type(top: FiniteTopology, ctx: SpaceContext | None = None) -> bool
     minimal = ctx.minimal
     if minimal == ctx.full:
         return False
-    closure = 0
-    for x in bit_indices(minimal):
-        closure |= ctx.down[x]
-    if closure != ctx.full:
+    if _down_closure(ctx.down, minimal) != ctx.full:
         return False
     return any(ctx.down[x] == ctx.full for x in range(ctx.n))
 
@@ -197,9 +188,7 @@ def recurrence_transfer_check(top: FiniteTopology, ctx: SpaceContext | None = No
     qr = recurrent_mask(qctx)
 
     preimage = 0
-    class_sizes = [0] * qctx.n
-    for x in range(ctx.n):
-        class_sizes[mapping[x]] += 1
+    class_sizes = _class_sizes(ctx)
     for x in range(ctx.n):
         b = mapping[x]
         if class_sizes[b] > 1 or qr >> b & 1:

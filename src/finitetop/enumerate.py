@@ -16,6 +16,7 @@ asserted=False: their refutations are reportable findings, not failures.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
@@ -38,6 +39,8 @@ from .core import (
 )
 from .decomp import Decomposition, iter_partitions, lemma001_check, quotient, tau_F
 from .dynamics import (
+    _class_sizes,
+    _non_wandering_mask,
     classify_space,
     is_anosov_type,
     recurrence_transfer_check,
@@ -45,7 +48,7 @@ from .dynamics import (
     recurrent_vs_hyperbolic_check,
     saddle_equivalences_check,
 )
-from .order import _pre_chain_mask, comparability_components
+from .order import _down_closure, _pre_chain_mask, comparability_components
 
 MAX_POINTS = 7
 
@@ -121,6 +124,10 @@ def _preorder_rows(n: int) -> Iterator[tuple[int, ...]]:
     edge may only force cells not yet scanned, so any forced earlier cell
     prunes the branch.  The zero-first discipline makes the row-major
     encodings come out in ascending order.
+
+    The search runs in this one frame: ``trail`` holds, for every undecided
+    cell on the current branch, its index and either None (zero branch) or
+    the undo records (row table, index, old row) of its one branch.
     """
     if n == 0:
         yield ()
@@ -129,61 +136,52 @@ def _preorder_rows(n: int) -> Iterator[tuple[int, ...]]:
     down = [1 << i for i in range(n)]
     cells = [(i, j) for i in range(n) for j in range(n) if i != j]
     m = len(cells)
-
-    def rec(k: int) -> Iterator[tuple[int, ...]]:
-        if k == m:
-            yield tuple(up)
+    trail: list[tuple[int, list | None]] = []
+    k = 0
+    while True:
+        while k < m:
+            i, j = cells[k]
+            if not up[i] >> j & 1:
+                trail.append((k, None))
+            k += 1
+        yield tuple(up)
+        while trail:
+            k, undo = trail.pop()
+            if undo is not None:
+                for rows, x, old in undo:
+                    rows[x] = old
+                continue
+            i, j = cells[k]
+            di, uj = down[i], up[j]
+            undo = []
+            a = di
+            while a:
+                low = a & -a
+                ai = low.bit_length() - 1
+                add = uj & ~up[ai]
+                if add:
+                    # every new cell (ai, b) must come after cell k
+                    if ai < i or ai == i and add & ((1 << j) - 1):
+                        break
+                    undo.append((up, ai, up[ai]))
+                a ^= low
+            if a:
+                continue
+            for _, ai, _ in undo:
+                up[ai] |= uj
+            b = uj
+            while b:
+                low = b & -b
+                bi = low.bit_length() - 1
+                if di & ~down[bi]:
+                    undo.append((down, bi, down[bi]))
+                    down[bi] |= di
+                b ^= low
+            trail.append((k, undo))
+            k += 1
+            break
+        else:
             return
-        i, j = cells[k]
-        if up[i] >> j & 1:
-            yield from rec(k + 1)
-            return
-        yield from rec(k + 1)
-
-        p = i * n + j
-        di, uj = down[i], up[j]
-        additions = []
-        a = di
-        ok = True
-        while a:
-            low = a & -a
-            ai = low.bit_length() - 1
-            add = uj & ~up[ai]
-            q = add
-            while q:
-                lb = q & -q
-                bi = lb.bit_length() - 1
-                if ai * n + bi < p:
-                    ok = False
-                    break
-                q ^= lb
-            if not ok:
-                break
-            if add:
-                additions.append((ai, add))
-            a ^= low
-        if not ok:
-            return
-        undo_up = []
-        undo_down = []
-        for ai, add in additions:
-            undo_up.append((ai, up[ai]))
-            up[ai] |= add
-        b = uj
-        while b:
-            lb = b & -b
-            bi = lb.bit_length() - 1
-            if di & ~down[bi]:
-                undo_down.append((bi, down[bi]))
-                down[bi] |= di
-            b ^= lb
-        yield from rec(k + 1)
-        for ai, old in undo_up:
-            up[ai] = old
-        for bi, old in undo_down:
-            down[bi] = old
-
-    yield from rec(0)
 
 
 def enumerate_preorders(n: int) -> Iterator[Preorder]:
@@ -194,62 +192,9 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
 
 
 def count_preorders(n: int) -> int:
-    """Number of preorders on n labeled points, by dedicated backtracking count."""
+    """Number of preorders on n labeled points, counted through the backtracker."""
     _check_size(n)
-    if n == 0:
-        return 1
-    up = [1 << i for i in range(n)]
-    down = [1 << i for i in range(n)]
-    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
-    m = len(cells)
-
-    def rec(k: int) -> int:
-        if k == m:
-            return 1
-        i, j = cells[k]
-        if up[i] >> j & 1:
-            return rec(k + 1)
-        total = rec(k + 1)
-
-        p = i * n + j
-        di, uj = down[i], up[j]
-        additions = []
-        a = di
-        while a:
-            low = a & -a
-            ai = low.bit_length() - 1
-            add = uj & ~up[ai]
-            q = add
-            while q:
-                lb = q & -q
-                bi = lb.bit_length() - 1
-                if ai * n + bi < p:
-                    return total
-                q ^= lb
-            if add:
-                additions.append((ai, add))
-            a ^= low
-        undo_up = []
-        undo_down = []
-        for ai, add in additions:
-            undo_up.append((ai, up[ai]))
-            up[ai] |= add
-        b = uj
-        while b:
-            lb = b & -b
-            bi = lb.bit_length() - 1
-            if di & ~down[bi]:
-                undo_down.append((bi, down[bi]))
-                down[bi] |= di
-            b ^= lb
-        total += rec(k + 1)
-        for ai, old in undo_up:
-            up[ai] = old
-        for bi, old in undo_down:
-            down[bi] = old
-        return total
-
-    return rec(0)
+    return sum(1 for _ in _preorder_rows(n))
 
 
 def enumerate_topologies(n: int, up_to_iso: bool = False) -> Iterator[FiniteTopology]:
@@ -398,14 +343,6 @@ def _theorem(tid: str, description: str, scope: str = "space", asserted: bool = 
 
 def theorems() -> tuple[Theorem, ...]:
     return tuple(_REGISTRY.values())
-
-
-def _space_payload(ctx: SpaceContext) -> dict:
-    return {
-        "n": ctx.n,
-        "encoding": preorder_encoding(ctx.pre),
-        "opens": [sorted(bit_indices(u)) for u in ctx.top.opens],
-    }
 
 
 # every axiom's definitional checker must agree with its order characterization
@@ -687,7 +624,7 @@ def _check_heights(ctx: SpaceContext) -> dict | None:
 def _check_roundtrip(ctx: SpaceContext) -> dict | None:
     rebuilt = alexandrov(ctx.top.specialization())
     if rebuilt.opens != ctx.top.opens:
-        return {"rebuilt_opens": [sorted(bit_indices(u)) for u in rebuilt.opens]}
+        return {"rebuilt_opens": _opens_doc(rebuilt)}
     return None
 
 
@@ -701,24 +638,13 @@ def _check_transfer(ctx: SpaceContext) -> dict | None:
 
 @_theorem("nonwandering_density", "every point is non-wandering iff big classes and recurrent classes are dense in the class space")
 def _check_nonwandering(ctx: SpaceContext) -> dict | None:
-    qctx, mapping = ctx.class_ctx
-    r = recurrent_mask(ctx)
-    closure = 0
-    for x in bit_indices(r):
-        closure |= ctx.down[x]
-    all_nonwandering = ctx.top.interior_bits(closure) == ctx.full
-
-    class_sizes = [0] * qctx.n
-    for x in range(ctx.n):
-        class_sizes[mapping[x]] += 1
+    qctx, _ = ctx.class_ctx
+    all_nonwandering = _non_wandering_mask(ctx) == ctx.full
     dense_target = recurrent_mask(qctx)
-    for b, size in enumerate(class_sizes):
+    for b, size in enumerate(_class_sizes(ctx)):
         if size > 1:
             dense_target |= 1 << b
-    dclosure = 0
-    for b in bit_indices(dense_target):
-        dclosure |= qctx.down[b]
-    dense = dclosure == qctx.full
+    dense = _down_closure(qctx.down, dense_target) == qctx.full
     if all_nonwandering != dense:
         return {"all_non_wandering": all_nonwandering, "class_union_dense": dense}
     return None
@@ -935,89 +861,127 @@ def _space_theorem_ids(ids: Iterable[str] | None) -> list[str]:
     return chosen
 
 
-def _run_space_chunk(ids: list[str], n: int, codes: list[int]) -> dict:
-    out: dict[str, list] = {tid: [0, None] for tid in ids}
+def _sweep(ids: list[str], cases: Iterable[tuple], payload: Callable) -> tuple[int, dict]:
+    """Fold the theorems ``ids`` over ``cases``, each the argument tuple of a check.
+
+    Returns the number of cases and, per theorem, [first witness, seconds]:
+    the witness is ``{**payload(*case), **detail}`` for the first case whose
+    check returns a detail, after which that theorem is not checked again;
+    the seconds are the wall time spent in its checks.
+    """
+    slots = {tid: [None, 0.0] for tid in ids}
+    # read at sweep time: instrumentation may replace a theorem's check
+    checks = [(_REGISTRY[tid].check, slots[tid]) for tid in ids]
+    clock = time.perf_counter
+    count = 0
+    for case in cases:
+        count += 1
+        for check, slot in checks:
+            if slot[0] is None:
+                start = clock()
+                detail = check(*case)
+                slot[1] += clock() - start
+                if detail is not None:
+                    slot[0] = {**payload(*case), **detail}
+    return count, slots
+
+
+def _opens_doc(top: FiniteTopology) -> list[list[int]]:
+    return [sorted(bit_indices(u)) for u in top.opens]
+
+
+def _space_cases(n: int, codes: list[int]) -> Iterator[tuple[SpaceContext]]:
     for code in codes:
         pre = decode_preorder(n, code)
-        top = alexandrov(pre)
-        ctx = SpaceContext(top, pre)
-        for tid in ids:
-            theorem = _REGISTRY[tid]
-            acc = out[tid]
-            acc[0] += 1
-            if acc[1] is None:
-                detail = theorem.check(ctx)
-                if detail is not None:
-                    witness = dict(_space_payload(ctx))
-                    witness.update(detail)
-                    acc[1] = witness
-    return out
+        yield (SpaceContext(alexandrov(pre), pre),)
 
 
-def _run_space_task(task: tuple[list[str], int, list[int]]) -> dict:
-    return _run_space_chunk(*task)
+def _space_payload(ctx: SpaceContext) -> dict:
+    return {"n": ctx.n, "encoding": preorder_encoding(ctx.pre), "opens": _opens_doc(ctx.top)}
 
 
-def _space_parts(ids: list[str], n_max: int, jobs: int) -> Iterator[dict]:
-    """Chunk results of the space sweep, each yielded as soon as it is done.
-
-    With jobs > 1 the larger sizes are cut into small slices that one pool
-    hands out one at a time: a worker that runs ahead takes the next slice,
-    so neither is left with a long tail while the other idles.  Parts come
-    in completion order; the merge does not depend on it.
-    """
-    tasks = []
-    for n in range(n_max + 1):
-        codes = [preorder_encoding(p) for p in enumerate_preorders(n)]
-        if jobs > 1 and len(codes) > 256:
-            chunk = max(64, len(codes) // (jobs * 32))
-            tasks.extend((ids, n, codes[i:i + chunk]) for i in range(0, len(codes), chunk))
-        else:
-            yield _run_space_chunk(ids, n, codes)
-    if tasks:
-        from multiprocessing import Pool
-
-        with Pool(jobs) as pool:
-            yield from pool.imap_unordered(_run_space_task, tasks)
-
-
-def _merge_space_results(parts: Iterable[dict], ids: list[str]) -> dict:
-    merged = {tid: [0, None] for tid in ids}
-    for part in parts:
-        for tid in ids:
-            cnt, wit = part[tid]
-            merged[tid][0] += cnt
-            if wit is not None:
-                cur = merged[tid][1]
-                if cur is None or (wit["n"], wit["encoding"]) < (cur["n"], cur["encoding"]):
-                    merged[tid][1] = wit
-    return merged
-
-
-def _run_pair_scope(ids: list[str], cap: int) -> dict:
-    acc: dict[str, list] = {tid: [0, None] for tid in ids}
+def _pair_cases(cap: int) -> Iterator[tuple[PairCase]]:
+    """Ordered pairs by combined size, then left size, then pool positions."""
     pools = [list(enumerate_topologies(n)) for n in range(cap + 1)]
     memo = _SummandVerdicts(pools)
     for total in range(cap + 1):
         for na in range(total + 1):
             nb = total - na
-            for ia, left in enumerate(pools[na]):
-                for ib, right in enumerate(pools[nb]):
-                    pair = PairCase(memo, (na, ia), (nb, ib))
-                    for tid in ids:
-                        slot = acc[tid]
-                        slot[0] += 1
-                        if slot[1] is None:
-                            detail = _REGISTRY[tid].check(pair)
-                            if detail is not None:
-                                slot[1] = {
-                                    "n_left": na,
-                                    "left_opens": [sorted(bit_indices(u)) for u in left.opens],
-                                    "n_right": nb,
-                                    "right_opens": [sorted(bit_indices(u)) for u in right.opens],
-                                    **detail,
-                                }
-    return acc
+            for ia in range(len(pools[na])):
+                for ib in range(len(pools[nb])):
+                    yield (PairCase(memo, (na, ia), (nb, ib)),)
+
+
+def _pair_payload(pair: PairCase) -> dict:
+    return {"n_left": pair.left.n, "left_opens": _opens_doc(pair.left),
+            "n_right": pair.right.n, "right_opens": _opens_doc(pair.right)}
+
+
+def _partition_cases(cap: int) -> Iterator[tuple[FiniteTopology, Decomposition]]:
+    for n in range(cap + 1):
+        for top in enumerate_topologies(n):
+            for dec in iter_partitions(n):
+                yield top, dec
+
+
+def _partition_payload(top: FiniteTopology, dec: Decomposition) -> dict:
+    return {"n": top.n, "opens": _opens_doc(top),
+            "blocks": [sorted(bit_indices(b)) for b in dec.blocks]}
+
+
+_SCOPES = {
+    "space": (_space_cases, _space_payload),
+    "pair": (_pair_cases, _pair_payload),
+    "partition": (_partition_cases, _partition_payload),
+}
+
+
+def _run_slice(task: tuple[str, list[str], tuple]) -> tuple[int, dict]:
+    scope, ids, args = task
+    cases, payload = _SCOPES[scope]
+    return _sweep(ids, cases(*args), payload)
+
+
+def _scope_parts(scope: str, ids: list[str], cap: int, jobs: int) -> Iterator[tuple[int, dict]]:
+    """Sweep results of one scope, as parts in sweep order.
+
+    The pair and partition scopes are one part each.  The space scope is one
+    part per size; with jobs > 1 the larger sizes are cut into small slices
+    that one pool hands out one at a time, so a worker that runs ahead takes
+    the next slice and neither is left with a long tail while the other
+    idles.  The pool has no more workers than slices.
+    """
+    if scope != "space":
+        yield _run_slice((scope, ids, (cap,)))
+        return
+    pooled = []
+    for n in range(cap + 1):
+        codes = [preorder_encoding(p) for p in enumerate_preorders(n)]
+        # counts grow with n, so every size run here precedes every pooled one
+        if jobs > 1 and len(codes) > 256:
+            chunk = max(64, len(codes) // (jobs * 32))
+            pooled.extend((scope, ids, (n, codes[i:i + chunk])) for i in range(0, len(codes), chunk))
+        else:
+            yield _run_slice((scope, ids, (n, codes)))
+    if pooled:
+        from multiprocessing import Pool
+
+        with Pool(min(jobs, len(pooled))) as pool:
+            yield from pool.imap(_run_slice, pooled)
+
+
+def _merge(parts: Iterable[tuple[int, dict]]) -> tuple[int, dict]:
+    """Sum case counts and seconds; keep each theorem's first witness in sweep order."""
+    count = 0
+    merged: dict[str, list] = {}
+    for part_count, slots in parts:
+        count += part_count
+        for tid, (witness, seconds) in slots.items():
+            slot = merged.setdefault(tid, [None, 0.0])
+            if slot[0] is None:
+                slot[0] = witness
+            slot[1] += seconds
+    return count, merged
 
 
 def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) -> list[Finding]:
@@ -1028,71 +992,38 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     min(n_max, 5), partition scope sweeps all partitions of all spaces on up
     to min(n_max, 4) points.  The sweep always completes, so counts are
     cap-determined and witnesses are minimal; jobs > 1 splits the space sweep
-    across processes with a deterministic merge.
+    across processes with a deterministic merge.  A finding's elapsed is the
+    time spent in that theorem's checks, summed over workers.
 
     Each space is evaluated once: its SpaceContext memoizes verdicts while
     its theorems run, and the pair sweep keeps each summand's verdicts for
     the length of this call.  Nothing is cached across calls.
     """
-    import time
-
     _check_size(n_max)
     chosen = _space_theorem_ids(ids)
-    space_ids = [t for t in chosen if _REGISTRY[t].scope == "space"]
-    pair_ids = [t for t in chosen if _REGISTRY[t].scope == "pair"]
-    partition_ids = [t for t in chosen if _REGISTRY[t].scope == "partition"]
-
-    started = {tid: time.perf_counter() for tid in chosen}
-    results: dict[str, list] = {}
-
-    if space_ids:
-        results.update(_merge_space_results(_space_parts(space_ids, n_max, jobs), space_ids))
-
-    if pair_ids:
-        results.update(_run_pair_scope(pair_ids, min(n_max, 5)))
-
-    if partition_ids:
-        part_cap = min(n_max, 4)
-        acc = {tid: [0, None] for tid in partition_ids}
-        for n in range(part_cap + 1):
-            for top in enumerate_topologies(n):
-                payload = None
-                for dec in iter_partitions(n):
-                    for tid in partition_ids:
-                        slot = acc[tid]
-                        slot[0] += 1
-                        if slot[1] is None:
-                            detail = _REGISTRY[tid].check(top, dec)
-                            if detail is not None:
-                                if payload is None:
-                                    payload = {
-                                        "n": n,
-                                        "opens": [sorted(bit_indices(u)) for u in top.opens],
-                                    }
-                                slot[1] = {
-                                    **payload,
-                                    "blocks": [sorted(bit_indices(b)) for b in dec.blocks],
-                                    **detail,
-                                }
-        results.update(acc)
+    caps = {"space": n_max, "pair": min(n_max, 5), "partition": min(n_max, 4)}
+    results: dict[str, tuple[int, dict | None, float]] = {}
+    for scope, cap in caps.items():
+        scope_ids = [tid for tid in chosen if _REGISTRY[tid].scope == scope]
+        if scope_ids:
+            count, slots = _merge(_scope_parts(scope, scope_ids, cap, jobs))
+            for tid, (witness, seconds) in slots.items():
+                results[tid] = (count, witness, seconds)
 
     findings = []
-    now = time.perf_counter()
     for tid in chosen:
         theorem = _REGISTRY[tid]
-        cnt, witness = results[tid]
-        cap = n_max if theorem.scope == "space" else (
-            min(n_max, 5) if theorem.scope == "pair" else min(n_max, 4))
+        count, witness, seconds = results[tid]
         findings.append(Finding(
             theorem=tid,
             description=theorem.description,
             scope=theorem.scope,
             asserted=theorem.asserted,
             status="verified" if witness is None else "refuted",
-            spaces_checked=cnt,
-            n_max=cap,
+            spaces_checked=count,
+            n_max=caps[theorem.scope],
             witness=witness,
-            elapsed=now - started[tid],
+            elapsed=seconds,
         ))
     return findings
 

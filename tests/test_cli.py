@@ -105,6 +105,11 @@ class TestClassify:
             {"points": 2, "opens": [[], [0], [0, 1]], "closure": "transitive"},
             {"points": 2, "opens": [[], [0], [0, 1]], "labels": None},
             {"points": 2, "opens": [[], [0], [0, 1]], "labels": ["a", "a"]},
+            {"points": 2.0, "opens": [[], [0, 1]]},
+            {"points": 2, "opens": [[], [0.0], [0, 1]]},
+            {"points": 2, "leq": [[0.0, 1]], "closure": "reflexive-transitive"},
+            {"points": 2.5, "opens": [[], [0, 1]]},
+            {"points": 2, "opens": [[], [True], [0, 1]]},
             {"points": 2, "leq": [[0, 1]]},
             {"points": 2},
             {"opens": [[]]},

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import multiprocessing
+import random
+import time
 from itertools import permutations
 
 import pytest
 
-from finitetop.axioms import DEFINITIONAL, SpaceContext, check_space
+from finitetop.axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
 from finitetop.core import Preorder, alexandrov, bit_indices
 from finitetop.enumerate import (
     MAX_POINTS,
@@ -155,6 +158,41 @@ class TestVerify:
         for jobs in (2, 3):
             assert strip(verify_all(ids, n_max=4, jobs=jobs)) == base
 
+    def test_pool_no_larger_than_its_slices(self, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            """Records the size asked for and runs every task here."""
+
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+            imap_unordered = imap
+
+        ids = ["t0_char", "sd_mixed_probe"]
+        want = [f.to_json_dict() for f in verify_all(ids, n_max=4)]
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        got = [f.to_json_dict() for f in verify_all(ids, n_max=4, jobs=50)]
+        # only the 355 spaces on 4 points are sliced: six slices of up to 64
+        assert sizes == [6]
+        assert got == want
+
+    def test_elapsed_is_time_spent_in_checks(self):
+        start = time.perf_counter()
+        findings = verify_all(n_max=3, jobs=1)
+        wall = time.perf_counter() - start
+        assert all(f.elapsed > 0 for f in findings)
+        assert sum(f.elapsed for f in findings) <= wall
+
     def test_json_dict_shape(self):
         f = verify("t0_char", n_max=2)
         doc = f.to_json_dict()
@@ -162,6 +200,35 @@ class TestVerify:
         assert doc["theorem"] == "t0_char"
         timed = f.to_json_dict(timings=True)
         assert timed["elapsed"] >= 0
+
+
+def _relabel(pre: Preorder, perm: list[int]) -> Preorder:
+    """The same preorder with point x renamed perm[x]."""
+    up = [0] * pre.n
+    for x in range(pre.n):
+        for y in bit_indices(pre.up[x]):
+            up[perm[x]] |= 1 << perm[y]
+    return Preorder(pre.n, tuple(up))
+
+
+class TestRelabeling:
+    def test_verdicts_and_outcomes_invariant(self):
+        space_theorems = [t for t in theorems() if t.scope == "space"]
+
+        def outcome(pre: Preorder):
+            ctx = SpaceContext(alexandrov(pre), pre)
+            verdicts = [check_space(ctx.top, axiom, mode, ctx).verdict
+                        for axiom in AXIOMS for mode in (DEFINITIONAL, CHARACTERIZED)]
+            return verdicts, [t.check(ctx) is None for t in space_theorems]
+
+        rng = random.Random(2017)
+        for n in range(5):
+            for pre in enumerate_preorders(n):
+                want = outcome(pre)
+                for _ in range(2):
+                    perm = list(range(n))
+                    rng.shuffle(perm)
+                    assert outcome(_relabel(pre, perm)) == want, (n, preorder_encoding(pre), perm)
 
 
 class TestImplicationMatrix:
