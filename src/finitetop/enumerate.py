@@ -4,7 +4,9 @@ Two independent enumerators produce every labeled topology on a small
 carrier: a preorder backtracker that grows a reflexive-transitive relation
 matrix cell by cell with incremental closure, and an open-family backtracker
 that decides subset membership with union/intersection propagation.  Their
-agreement (as multisets of canonical encodings) is itself a test.
+agreement (as multisets of canonical encodings) is itself a test.  Classes
+up to relabeling come from the preorder stream by orbit marking, one
+least-encoded representative per class with its orbit size.
 
 On top of the enumerators sits a registry of theorems: every order
 characterization, implication chain, finite collapse, transfer law, and
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
@@ -197,16 +199,68 @@ def count_preorders(n: int) -> int:
     return sum(1 for _ in _preorder_rows(n))
 
 
+@cache
+def _relabel_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """Per permutation p of range(n), identity first: p and its row table.
+
+    The table maps a row mask to the row of the relabeled preorder as it
+    sits in an encoding, MSB first: bit n-1-j of table[mask] is bit p[j] of
+    mask.  Built on first use of each n.
+    """
+    tables = []
+    for perm in permutations(range(n)):
+        table = []
+        for mask in range(1 << n):
+            bits = 0
+            for j in perm:
+                bits = bits << 1 | (mask >> j & 1)
+            table.append(bits)
+        tables.append((perm, tuple(table)))
+    return tuple(tables)
+
+
+def _preorder_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield (up-rows, orbit size) for each relabeling class of preorders.
+
+    Each class appears once, as its least-encoded member, in ascending
+    encoding order, so the orbit sizes sum to the labeled count.  Orbit
+    marking: the labeled preorders come in ascending order, and the first
+    member of an orbit met is its least; the rest of its orbit is put in
+    ``pending`` and dropped from it, unyielded, when the sweep reaches it.
+    """
+    tables = _relabel_tables(n)
+    identity = tables[0][1]
+    pending: set[int] = set()
+    for rows in _preorder_rows(n):
+        code = 0
+        for row in rows:
+            code = code << n | identity[row]
+        if code in pending:
+            pending.remove(code)
+            continue
+        orbit = set()
+        for perm, table in tables:
+            image = 0
+            for x in perm:
+                image = image << n | table[rows[x]]
+            orbit.add(image)
+        orbit.remove(code)
+        pending |= orbit
+        yield rows, len(orbit) + 1
+
+
 def enumerate_topologies(n: int, up_to_iso: bool = False) -> Iterator[FiniteTopology]:
     """Every labeled topology on n points via the preorder correspondence.
 
     With up_to_iso=True only canonical representatives (least encoding in
-    each relabeling orbit) are yielded.
+    each relabeling orbit) are yielded, found by orbit marking.
     """
     _check_size(n)
+    if up_to_iso:
+        for rows, _ in _preorder_classes(n):
+            yield alexandrov(Preorder(n, rows))
+        return
     for pre in enumerate_preorders(n):
-        if up_to_iso and preorder_encoding(pre) != canonical_preorder_key(pre):
-            continue
         yield alexandrov(pre)
 
 
@@ -736,17 +790,20 @@ _VERDICT_BIT = {
 
 
 class _SummandVerdicts:
-    """Summand verdicts of one pair sweep, two ints per summand.
+    """Summand verdicts and closures of one pair sweep.
 
     A summand is keyed by its position (n, index) in the sweep's pools.  Bit
     _VERDICT_BIT[axiom, mode] of known[n][index] is set once that verdict has
     been computed, and the same bit of value[n][index] holds it.
+    closures[n][index] is None until the summand's closure table, the
+    closure of every subset a at index a, is first asked for.
     """
 
     def __init__(self, pools: list[list[FiniteTopology]]):
         self.pools = pools
         self.known = [[0] * len(pool) for pool in pools]
         self.value = [[0] * len(pool) for pool in pools]
+        self.closures: list[list[tuple[int, ...] | None]] = [[None] * len(pool) for pool in pools]
 
 
 class PairCase:
@@ -790,6 +847,15 @@ class PairCase:
                 memo.value[n][i] |= bit
         return bool(memo.value[n][i] & bit)
 
+    def summand_closures(self, side: int) -> tuple[int, ...]:
+        """Closures of every subset of the left (side 0) or right (side 1) summand."""
+        n, i = self.keys[side]
+        table = self.memo.closures[n][i]
+        if table is None:
+            top = self.right if side else self.left
+            table = self.memo.closures[n][i] = tuple(top.closure_bits(a) for a in range(1 << n))
+        return table
+
 
 def _du_invariance(axiom: str) -> Callable:
     def run(pair: PairCase) -> dict | None:
@@ -812,14 +878,13 @@ for _tid, _axiom in (("du_tm1", "T-1"), ("du_t14", "T1/4"),
 
 @_theorem("du_closure_restriction", "closures in a disjoint union restrict to summand closures", scope="pair")
 def _check_du_closure(pair: PairCase) -> dict | None:
-    left, right, union = pair.left, pair.right, pair.union
-    for a in range(1 << left.n):
-        if union.closure_bits(a) != left.closure_bits(a):
+    union = pair.union
+    for a, closure in enumerate(pair.summand_closures(0)):
+        if union.closure_bits(a) != closure:
             return {"side": "left", "subset": sorted(bit_indices(a))}
-    shift = left.n
-    for a in range(1 << right.n):
-        got = union.closure_bits(a << shift)
-        if got != right.closure_bits(a) << shift:
+    shift = pair.left.n
+    for a, closure in enumerate(pair.summand_closures(1)):
+        if union.closure_bits(a << shift) != closure << shift:
             return {"side": "right", "subset": sorted(bit_indices(a))}
     return None
 
@@ -861,11 +926,13 @@ def _space_theorem_ids(ids: Iterable[str] | None) -> list[str]:
     return chosen
 
 
-def _sweep(ids: list[str], cases: Iterable[tuple], payload: Callable) -> tuple[int, dict]:
-    """Fold the theorems ``ids`` over ``cases``, each the argument tuple of a check.
+def _sweep(ids: list[str], cases: Iterable[tuple[int, tuple]], payload: Callable) -> tuple[int, dict]:
+    """Fold the theorems ``ids`` over ``cases``, each a pair (weight, args).
 
-    Returns the number of cases and, per theorem, [first witness, seconds]:
-    the witness is ``{**payload(*case), **detail}`` for the first case whose
+    ``args`` is the argument tuple of a check and ``weight`` the number of
+    cases it stands for: the orbit size of a space-scope class, else 1.
+    Returns the summed weights and, per theorem, [first witness, seconds]:
+    the witness is ``{**payload(*args), **detail}`` for the first case whose
     check returns a detail, after which that theorem is not checked again;
     the seconds are the wall time spent in its checks.
     """
@@ -874,8 +941,8 @@ def _sweep(ids: list[str], cases: Iterable[tuple], payload: Callable) -> tuple[i
     checks = [(_REGISTRY[tid].check, slots[tid]) for tid in ids]
     clock = time.perf_counter
     count = 0
-    for case in cases:
-        count += 1
+    for weight, case in cases:
+        count += weight
         for check, slot in checks:
             if slot[0] is None:
                 start = clock()
@@ -890,17 +957,18 @@ def _opens_doc(top: FiniteTopology) -> list[list[int]]:
     return [sorted(bit_indices(u)) for u in top.opens]
 
 
-def _space_cases(n: int, codes: list[int]) -> Iterator[tuple[SpaceContext]]:
-    for code in codes:
-        pre = decode_preorder(n, code)
-        yield (SpaceContext(alexandrov(pre), pre),)
+def _space_cases(n: int, classes: list[tuple[tuple[int, ...], int]]
+                 ) -> Iterator[tuple[int, tuple[SpaceContext]]]:
+    for rows, size in classes:
+        pre = Preorder(n, rows)
+        yield size, (SpaceContext(alexandrov(pre), pre),)
 
 
 def _space_payload(ctx: SpaceContext) -> dict:
     return {"n": ctx.n, "encoding": preorder_encoding(ctx.pre), "opens": _opens_doc(ctx.top)}
 
 
-def _pair_cases(cap: int) -> Iterator[tuple[PairCase]]:
+def _pair_cases(cap: int) -> Iterator[tuple[int, tuple[PairCase]]]:
     """Ordered pairs by combined size, then left size, then pool positions."""
     pools = [list(enumerate_topologies(n)) for n in range(cap + 1)]
     memo = _SummandVerdicts(pools)
@@ -909,7 +977,7 @@ def _pair_cases(cap: int) -> Iterator[tuple[PairCase]]:
             nb = total - na
             for ia in range(len(pools[na])):
                 for ib in range(len(pools[nb])):
-                    yield (PairCase(memo, (na, ia), (nb, ib)),)
+                    yield 1, (PairCase(memo, (na, ia), (nb, ib)),)
 
 
 def _pair_payload(pair: PairCase) -> dict:
@@ -917,11 +985,11 @@ def _pair_payload(pair: PairCase) -> dict:
             "n_right": pair.right.n, "right_opens": _opens_doc(pair.right)}
 
 
-def _partition_cases(cap: int) -> Iterator[tuple[FiniteTopology, Decomposition]]:
+def _partition_cases(cap: int) -> Iterator[tuple[int, tuple[FiniteTopology, Decomposition]]]:
     for n in range(cap + 1):
         for top in enumerate_topologies(n):
             for dec in iter_partitions(n):
-                yield top, dec
+                yield 1, (top, dec)
 
 
 def _partition_payload(top: FiniteTopology, dec: Decomposition) -> dict:
@@ -946,23 +1014,25 @@ def _scope_parts(scope: str, ids: list[str], cap: int, jobs: int) -> Iterator[tu
     """Sweep results of one scope, as parts in sweep order.
 
     The pair and partition scopes are one part each.  The space scope is one
-    part per size; with jobs > 1 the larger sizes are cut into small slices
-    that one pool hands out one at a time, so a worker that runs ahead takes
-    the next slice and neither is left with a long tail while the other
-    idles.  The pool has no more workers than slices.
+    part per size, of its relabeling classes; with jobs > 1 the sizes with
+    more than 256 classes are cut into small slices that one pool hands out
+    one at a time, so a worker that runs ahead takes the next slice and
+    neither is left with a long tail while the other idles.  The pool has no
+    more workers than slices.
     """
     if scope != "space":
         yield _run_slice((scope, ids, (cap,)))
         return
     pooled = []
     for n in range(cap + 1):
-        codes = [preorder_encoding(p) for p in enumerate_preorders(n)]
+        classes = list(_preorder_classes(n))
         # counts grow with n, so every size run here precedes every pooled one
-        if jobs > 1 and len(codes) > 256:
-            chunk = max(64, len(codes) // (jobs * 32))
-            pooled.extend((scope, ids, (n, codes[i:i + chunk])) for i in range(0, len(codes), chunk))
+        if jobs > 1 and len(classes) > 256:
+            chunk = max(64, len(classes) // (jobs * 32))
+            pooled.extend((scope, ids, (n, classes[i:i + chunk]))
+                          for i in range(0, len(classes), chunk))
         else:
-            yield _run_slice((scope, ids, (n, codes)))
+            yield _run_slice((scope, ids, (n, classes)))
     if pooled:
         from multiprocessing import Pool
 
@@ -987,13 +1057,17 @@ def _merge(parts: Iterable[tuple[int, dict]]) -> tuple[int, dict]:
 def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) -> list[Finding]:
     """Run theorems over all spaces (pairs, partitions) up to the size caps.
 
-    Space-scope theorems sweep all labeled topologies on up to n_max points,
-    pair scope sweeps all ordered pairs with combined size at most
-    min(n_max, 5), partition scope sweeps all partitions of all spaces on up
-    to min(n_max, 4) points.  The sweep always completes, so counts are
-    cap-determined and witnesses are minimal; jobs > 1 splits the space sweep
-    across processes with a deterministic merge.  A finding's elapsed is the
-    time spent in that theorem's checks, summed over workers.
+    Space-scope theorems sweep all topologies on up to n_max points, one
+    least-encoded representative per relabeling class weighted by its orbit
+    size: every space theorem is invariant under relabeling, so the least
+    refuting labeled space is a representative, and the weights sum to the
+    labeled count.  Pair scope sweeps all ordered labeled pairs with
+    combined size at most min(n_max, 5), partition scope sweeps all
+    partitions of all labeled spaces on up to min(n_max, 4) points.  The
+    sweep always completes, so counts are cap-determined and witnesses are
+    minimal; jobs > 1 splits the space sweep across processes with a
+    deterministic merge.  A finding's elapsed is the time spent in that
+    theorem's checks, summed over workers.
 
     Each space is evaluated once: its SpaceContext memoizes verdicts while
     its theorems run, and the pair sweep keeps each summand's verdicts for
@@ -1067,7 +1141,9 @@ def implication_matrix(n_max: int = 5, axioms: Iterable[str] | None = None) -> I
     """Ordered implication survey: (a, b) holds when no space satisfies a but not b.
 
     Counterexamples are minimal, fewest points then least encoding, because
-    the sweep is ascending.
+    the sweep is ascending.  It visits one least-encoded representative per
+    relabeling class, which is where the least counterexample of any orbit
+    sits, and counts each by its orbit size.
     """
     _check_size(n_max)
     chosen = tuple(axioms) if axioms is not None else tuple(AXIOMS)
@@ -1077,10 +1153,11 @@ def implication_matrix(n_max: int = 5, axioms: Iterable[str] | None = None) -> I
     counterexamples: dict = {}
     checked = 0
     for n in range(n_max + 1):
-        for pre in enumerate_preorders(n):
+        for rows, size in _preorder_classes(n):
+            pre = Preorder(n, rows)
             top = alexandrov(pre)
             ctx = SpaceContext(top, pre)
-            checked += 1
+            checked += size
             verdicts = {a: check_space(top, a, DEFINITIONAL, ctx).verdict for a in chosen}
             payload = None
             for a in chosen:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 import subprocess
 import sys
@@ -7,12 +8,64 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finitetop.cli import DocumentError, parse_space_doc
+from finitetop.cli import MAX_DOC_POINTS, DocumentError, parse_space_doc
+from finitetop.core import TopologyError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 SPACE_SCHEMA = json.loads((DOCS / "spacedoc.schema.json").read_text())
 REPORT_SCHEMA = json.loads((DOCS / "report.schema.json").read_text())
+
+_SPACE_VALIDATOR = jsonschema.Draft202012Validator(SPACE_SCHEMA)
+# a defect writes one of these where a value was, or n, one past the last point
+_ODD = (-1, 1.0, 1.5, True, "a", None, [], [0, 1, 2], {})
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else \
+        enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+@st.composite
+def _space_docs(draw):
+    """A well-formed space document with up to two random defects.
+
+    A defect picks a place in the document: at the top it adds a key, below
+    it replaces, deletes or repeats the value there.
+    """
+    n = draw(st.one_of(st.integers(0, 4), st.just(MAX_DOC_POINTS)))
+    point = st.integers(0, max(n - 1, 0))
+    doc = {"points": n}
+    if n and draw(st.booleans()):
+        doc["leq"] = draw(st.lists(st.lists(point, min_size=2, max_size=2), max_size=3))
+        doc["closure"] = "reflexive-transitive"
+    else:
+        doc["opens"] = draw(st.lists(st.lists(point, max_size=min(n, 3), unique=True), max_size=4))
+    if draw(st.booleans()):
+        doc["labels"] = [chr(97 + x) for x in range(n)]
+    odd = st.sampled_from(_ODD + (n,)).map(copy.deepcopy)
+    for _ in range(draw(st.integers(0, 2))):
+        *up, key = draw(st.sampled_from(list(_paths(doc)))) or (None,)
+        if key is None:
+            doc[draw(st.sampled_from(["opens", "leq", "closure", "labels", "bogus"]))] = draw(odd)
+            continue
+        parent = doc
+        for k in up:
+            parent = parent[k]
+        how = draw(st.sampled_from(["replace", "delete", "repeat"]))
+        if how == "delete":
+            del parent[key]
+        elif how == "repeat" and isinstance(parent, list):
+            parent.append(copy.deepcopy(parent[key]))
+        else:
+            parent[key] = draw(odd)
+    return doc
+
 
 SIERPINSKI_DOC = {"points": 2, "opens": [[], [1], [0, 1]]}
 GOLDEN4_DOC = {"points": 4, "opens": [[], [2], [0, 1], [0, 1, 2], [0, 1, 2, 3]],
@@ -105,6 +158,13 @@ class TestClassify:
             {"points": 2, "opens": [[], [0], [0, 1]], "closure": "transitive"},
             {"points": 2, "opens": [[], [0], [0, 1]], "labels": None},
             {"points": 2, "opens": [[], [0], [0, 1]], "labels": ["a", "a"]},
+            {"points": 2, "opens": [[], [0, 1]], "labels": ["a"]},
+            {"points": 2, "opens": [[], [0, 1]], "labels": ["a", "b", "c"]},
+            {"points": 2.0, "opens": [[], [0, 1]], "labels": ["a"]},
+            {"points": 0, "opens": [[]], "labels": ["a"]},
+            {"points": 0, "opens": [[]], "labels": []},
+            {"points": 2, "opens": [[], [2], [0, 1]]},
+            {"points": 2, "leq": [[0, 2]], "closure": "reflexive-transitive"},
             {"points": 2.0, "opens": [[], [0, 1]]},
             {"points": 2, "opens": [[], [0.0], [0, 1]]},
             {"points": 2, "leq": [[0.0, 1]], "closure": "reflexive-transitive"},
@@ -124,6 +184,20 @@ class TestClassify:
             assert accepted == validator.is_valid(doc), doc
             rc, _, _ = run_cli("classify", stdin=json.dumps(doc))
             assert (rc == 0) == accepted and rc in (0, 2), doc
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_space_docs())
+    def test_parser_accepts_what_the_schema_accepts_random(self, doc):
+        # a topology error is a shape the parser accepted; sizes over the
+        # document cap are not drawn, since the schema has no cap
+        try:
+            parse_space_doc(doc)
+            accepted = True
+        except TopologyError:
+            accepted = True
+        except DocumentError:
+            accepted = False
+        assert accepted == _SPACE_VALIDATOR.is_valid(doc), doc
 
     def test_unknown_axiom_filter_exit2(self):
         rc, _, _ = run_cli("classify", "--axioms", "T9",

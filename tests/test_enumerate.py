@@ -7,11 +7,16 @@ from itertools import permutations
 
 import pytest
 
+from finitetop import cli
 from finitetop.axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
 from finitetop.core import Preorder, alexandrov, bit_indices
 from finitetop.enumerate import (
     MAX_POINTS,
+    ImplicationMatrix,
     SizeTooLargeError,
+    _preorder_classes,
+    _space_payload,
+    _sweep,
     canonical_preorder_key,
     count_open_families,
     count_preorders,
@@ -28,8 +33,9 @@ from finitetop.enumerate import (
     verify_all,
 )
 
-LABELED = (1, 1, 4, 29, 355, 6942)
-UNLABELED = (1, 1, 3, 9, 33)
+LABELED = (1, 1, 4, 29, 355, 6942, 209527)
+# OEIS A001930: topologies up to relabeling
+UNLABELED = (1, 1, 3, 9, 33, 139, 718)
 
 
 class TestEncodings:
@@ -150,13 +156,14 @@ class TestVerify:
         assert not any(f.asserted and f.status == "refuted" for f in findings)
 
     def test_jobs_do_not_change_findings(self):
-        # the 355 spaces on 4 points go out as slices that finish in any order
+        # only sizes with more than 256 classes are pooled: the 718 classes
+        # on 6 points go out as slices that finish in any order
         ids = [t.id for t in theorems() if t.scope == "space"]
         strip = lambda fs: [(f.theorem, f.status, f.spaces_checked, f.witness) for f in fs]
-        base = strip(verify_all(ids, n_max=4, jobs=1))
+        base = strip(verify_all(ids, n_max=6, jobs=1))
         assert any(status == "refuted" for _, status, _, _ in base)
         for jobs in (2, 3):
-            assert strip(verify_all(ids, n_max=4, jobs=jobs)) == base
+            assert strip(verify_all(ids, n_max=6, jobs=jobs)) == base
 
     def test_pool_no_larger_than_its_slices(self, monkeypatch):
         sizes = []
@@ -179,11 +186,12 @@ class TestVerify:
             imap_unordered = imap
 
         ids = ["t0_char", "sd_mixed_probe"]
-        want = [f.to_json_dict() for f in verify_all(ids, n_max=4)]
+        want = [f.to_json_dict() for f in verify_all(ids, n_max=6)]
+        assert any(f["status"] == "refuted" for f in want)
         monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
-        got = [f.to_json_dict() for f in verify_all(ids, n_max=4, jobs=50)]
-        # only the 355 spaces on 4 points are sliced: six slices of up to 64
-        assert sizes == [6]
+        got = [f.to_json_dict() for f in verify_all(ids, n_max=6, jobs=50)]
+        # only the 718 classes on 6 points are sliced: twelve slices of up to 64
+        assert sizes == [12]
         assert got == want
 
     def test_elapsed_is_time_spent_in_checks(self):
@@ -229,6 +237,66 @@ class TestRelabeling:
                     perm = list(range(n))
                     rng.shuffle(perm)
                     assert outcome(_relabel(pre, perm)) == want, (n, preorder_encoding(pre), perm)
+
+
+class TestClasses:
+    """The class sweep against labeled sweeps and the brute-force canonical key."""
+
+    def test_counts_and_orbit_sums(self):
+        for n in range(7):
+            classes = list(_preorder_classes(n))
+            assert len(classes) == UNLABELED[n]
+            assert sum(size for _, size in classes) == LABELED[n]
+
+    def test_representatives_are_canonical_keys(self):
+        for n in range(5):
+            want = [pre.up for pre in enumerate_preorders(n)
+                    if preorder_encoding(pre) == canonical_preorder_key(pre)]
+            classes = list(_preorder_classes(n))
+            assert [rows for rows, _ in classes] == want
+            for rows, size in classes:
+                pre = Preorder(n, rows)
+                orbit = {preorder_encoding(_relabel(pre, list(perm)))
+                         for perm in permutations(range(n))}
+                assert size == len(orbit)
+
+    def test_space_theorems_match_labeled_sweep(self):
+        ids = [t.id for t in theorems() if t.scope == "space"]
+        cases = ((1, (SpaceContext(alexandrov(pre), pre),))
+                 for n in range(5) for pre in enumerate_preorders(n))
+        count, slots = _sweep(ids, cases, _space_payload)
+        assert count == sum(LABELED[:5])
+        got = verify_all(ids, n_max=4)
+        assert any(f.status == "refuted" for f in got)
+        for f in got:
+            witness = slots[f.theorem][0]
+            assert (f.status, f.spaces_checked, f.witness) == \
+                ("verified" if witness is None else "refuted", count, witness), f.theorem
+
+    def test_implication_matrix_matches_labeled_sweep(self):
+        counterexamples = {}
+        checked = 0
+        for n in range(6):
+            for pre in enumerate_preorders(n):
+                ctx = SpaceContext(alexandrov(pre), pre)
+                checked += 1
+                holds = {a: check_space(ctx.top, a, DEFINITIONAL, ctx).verdict for a in AXIOMS}
+                new = [(a, b) for a in AXIOMS if holds[a] for b in AXIOMS
+                       if not holds[b] and (a, b) not in counterexamples]
+                for key in new:
+                    counterexamples[key] = _space_payload(ctx)
+        labeled = ImplicationMatrix(tuple(AXIOMS), 5, checked, counterexamples)
+        assert implication_matrix(5).to_json_dict() == labeled.to_json_dict()
+
+    def test_emit_up_to_iso_filters_labeled_stream(self, capsys):
+        assert cli.main(["enumerate", "4", "--emit"]) == 0
+        labeled = capsys.readouterr().out.splitlines()
+        assert cli.main(["enumerate", "4", "--emit", "--up-to-iso"]) == 0
+        iso = capsys.readouterr().out.splitlines()
+        pres = list(enumerate_preorders(4))
+        assert len(labeled) == len(pres)
+        assert iso == [line for line, pre in zip(labeled, pres)
+                       if preorder_encoding(pre) == canonical_preorder_key(pre)]
 
 
 class TestImplicationMatrix:
