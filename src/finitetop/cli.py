@@ -252,6 +252,9 @@ def _resolve_theorem(tid: str) -> str:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        sys.stderr.write(f"--jobs must be at least 1, got {args.jobs}\n")
+        return EXIT_USAGE
     if args.theorem == "all":
         ids = None
     else:
@@ -346,7 +349,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=5, dest="n_max",
                           help="carrier-size cap for the sweep (default 5)")
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the space sweep")
+                          help="worker processes for the space sweep, at least 1 (default 1)")
     p_verify.add_argument("--timings", action="store_true",
                           help="include elapsed seconds in findings (non-reproducible)")
     p_verify.set_defaults(handler=_cmd_verify)

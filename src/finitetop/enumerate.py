@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
@@ -217,6 +217,10 @@ def _relabel_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ..
             table.append(bits)
         tables.append((perm, tuple(table)))
     return tuple(tables)
+
+
+# the relabeling classes of one size: (up-rows, orbit size) per class
+_Classes = list[tuple[tuple[int, ...], int]]
 
 
 def _preorder_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -809,9 +813,10 @@ class _SummandVerdicts:
 class PairCase:
     """One ordered pair of the pair sweep: both summands and their union.
 
-    The union and its context are built on first use and shared by every
-    pair theorem.  Summand verdicts are looked up in the sweep's memo and
-    computed, on a context built for this pair, only on a miss.
+    The union and its context are built with the case, before any pair
+    theorem runs, and shared by all of them.  Summand verdicts are looked up
+    in the sweep's memo and computed, on a context built for this pair, only
+    on a miss.
     """
 
     def __init__(self, memo: _SummandVerdicts, left: tuple[int, int], right: tuple[int, int]):
@@ -819,15 +824,9 @@ class PairCase:
         self.keys = (left, right)
         self.left = memo.pools[left[0]][left[1]]
         self.right = memo.pools[right[0]][right[1]]
+        self.union = disjoint_union([self.left, self.right])
+        self.ctx = SpaceContext(self.union)
         self._summand_ctx: list[SpaceContext | None] = [None, None]
-
-    @cached_property
-    def union(self) -> FiniteTopology:
-        return disjoint_union([self.left, self.right])
-
-    @cached_property
-    def ctx(self) -> SpaceContext:
-        return SpaceContext(self.union)
 
     def union_verdict(self, axiom: str, mode: str) -> bool:
         return check_space(self.union, axiom, mode, self.ctx).verdict
@@ -930,7 +929,7 @@ def _sweep(ids: list[str], cases: Iterable[tuple[int, tuple]], payload: Callable
     """Fold the theorems ``ids`` over ``cases``, each a pair (weight, args).
 
     ``args`` is the argument tuple of a check and ``weight`` the number of
-    cases it stands for: the orbit size of a space-scope class, else 1.
+    labeled cases it stands for (orbit sizes, see ``verify_all``).
     Returns the summed weights and, per theorem, [first witness, seconds]:
     the witness is ``{**payload(*args), **detail}`` for the first case whose
     check returns a detail, after which that theorem is not checked again;
@@ -957,9 +956,8 @@ def _opens_doc(top: FiniteTopology) -> list[list[int]]:
     return [sorted(bit_indices(u)) for u in top.opens]
 
 
-def _space_cases(n: int, classes: list[tuple[tuple[int, ...], int]]
-                 ) -> Iterator[tuple[int, tuple[SpaceContext]]]:
-    for rows, size in classes:
+def _space_cases(n: int, reps: _Classes) -> Iterator[tuple[int, tuple[SpaceContext]]]:
+    for rows, size in reps:
         pre = Preorder(n, rows)
         yield size, (SpaceContext(alexandrov(pre), pre),)
 
@@ -968,16 +966,22 @@ def _space_payload(ctx: SpaceContext) -> dict:
     return {"n": ctx.n, "encoding": preorder_encoding(ctx.pre), "opens": _opens_doc(ctx.top)}
 
 
-def _pair_cases(cap: int) -> Iterator[tuple[int, tuple[PairCase]]]:
-    """Ordered pairs by combined size, then left size, then pool positions."""
-    pools = [list(enumerate_topologies(n)) for n in range(cap + 1)]
+def _pair_cases(classes: list[_Classes]) -> Iterator[tuple[int, tuple[PairCase]]]:
+    """Ordered pairs of class representatives, classes[n] for each size n.
+
+    Pairs come by combined size up to the last size given, then left size,
+    then pool positions, and weigh orbit(left) * orbit(right).  Each case's
+    union and its context are built here, so that no theorem's time
+    includes them.
+    """
+    pools = [[alexandrov(Preorder(n, rows)) for rows, _ in reps] for n, reps in enumerate(classes)]
     memo = _SummandVerdicts(pools)
-    for total in range(cap + 1):
+    for total in range(len(classes)):
         for na in range(total + 1):
             nb = total - na
-            for ia in range(len(pools[na])):
-                for ib in range(len(pools[nb])):
-                    yield 1, (PairCase(memo, (na, ia), (nb, ib)),)
+            for ia, (_, wa) in enumerate(classes[na]):
+                for ib, (_, wb) in enumerate(classes[nb]):
+                    yield wa * wb, (PairCase(memo, (na, ia), (nb, ib)),)
 
 
 def _pair_payload(pair: PairCase) -> dict:
@@ -985,11 +989,15 @@ def _pair_payload(pair: PairCase) -> dict:
             "n_right": pair.right.n, "right_opens": _opens_doc(pair.right)}
 
 
-def _partition_cases(cap: int) -> Iterator[tuple[int, tuple[FiniteTopology, Decomposition]]]:
-    for n in range(cap + 1):
-        for top in enumerate_topologies(n):
-            for dec in iter_partitions(n):
-                yield 1, (top, dec)
+def _partition_cases(classes: list[_Classes]
+                     ) -> Iterator[tuple[int, tuple[FiniteTopology, Decomposition]]]:
+    """Every partition of every class representative, weighing its orbit size."""
+    for n, reps in enumerate(classes):
+        decs = list(iter_partitions(n))
+        for rows, size in reps:
+            top = alexandrov(Preorder(n, rows))
+            for dec in decs:
+                yield size, (top, dec)
 
 
 def _partition_payload(top: FiniteTopology, dec: Decomposition) -> dict:
@@ -1010,29 +1018,28 @@ def _run_slice(task: tuple[str, list[str], tuple]) -> tuple[int, dict]:
     return _sweep(ids, cases(*args), payload)
 
 
-def _scope_parts(scope: str, ids: list[str], cap: int, jobs: int) -> Iterator[tuple[int, dict]]:
-    """Sweep results of one scope, as parts in sweep order.
+def _scope_parts(scope: str, ids: list[str], classes: list[_Classes], jobs: int
+                 ) -> Iterator[tuple[int, dict]]:
+    """Sweep results of one scope over ``classes[n]`` for each size n, as parts in sweep order.
 
     The pair and partition scopes are one part each.  The space scope is one
-    part per size, of its relabeling classes; with jobs > 1 the sizes with
-    more than 256 classes are cut into small slices that one pool hands out
-    one at a time, so a worker that runs ahead takes the next slice and
-    neither is left with a long tail while the other idles.  The pool has no
-    more workers than slices.
+    part per size; with jobs > 1 the sizes with more than 256 classes are
+    cut into small slices that one pool hands out one at a time, so a worker
+    that runs ahead takes the next slice and neither is left with a long
+    tail while the other idles.  The pool has no more workers than slices.
     """
     if scope != "space":
-        yield _run_slice((scope, ids, (cap,)))
+        yield _run_slice((scope, ids, (classes,)))
         return
     pooled = []
-    for n in range(cap + 1):
-        classes = list(_preorder_classes(n))
+    for n, reps in enumerate(classes):
         # counts grow with n, so every size run here precedes every pooled one
-        if jobs > 1 and len(classes) > 256:
-            chunk = max(64, len(classes) // (jobs * 32))
-            pooled.extend((scope, ids, (n, classes[i:i + chunk]))
-                          for i in range(0, len(classes), chunk))
+        if jobs > 1 and len(reps) > 256:
+            chunk = max(64, len(reps) // (jobs * 32))
+            pooled.extend((scope, ids, (n, reps[i:i + chunk]))
+                          for i in range(0, len(reps), chunk))
         else:
-            yield _run_slice((scope, ids, (n, classes)))
+            yield _run_slice((scope, ids, (n, reps)))
     if pooled:
         from multiprocessing import Pool
 
@@ -1057,17 +1064,22 @@ def _merge(parts: Iterable[tuple[int, dict]]) -> tuple[int, dict]:
 def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) -> list[Finding]:
     """Run theorems over all spaces (pairs, partitions) up to the size caps.
 
-    Space-scope theorems sweep all topologies on up to n_max points, one
-    least-encoded representative per relabeling class weighted by its orbit
-    size: every space theorem is invariant under relabeling, so the least
-    refuting labeled space is a representative, and the weights sum to the
-    labeled count.  Pair scope sweeps all ordered labeled pairs with
-    combined size at most min(n_max, 5), partition scope sweeps all
-    partitions of all labeled spaces on up to min(n_max, 4) points.  The
-    sweep always completes, so counts are cap-determined and witnesses are
-    minimal; jobs > 1 splits the space sweep across processes with a
-    deterministic merge.  A finding's elapsed is the time spent in that
-    theorem's checks, summed over workers.
+    Space-scope theorems sweep all topologies on up to n_max points, pair
+    scope all ordered pairs with combined size at most min(n_max, 5), and
+    partition scope all partitions of all spaces on up to min(n_max, 4)
+    points.  The relabeling classes of each size are found once per call
+    and all three scopes sweep them, one least-encoded representative per
+    class, with weights that make the counts those of the labeled sweep: a
+    space, and each of its partitions, weighs its orbit size, and a pair
+    orbit(left) * orbit(right).  Every theorem is invariant under relabeling
+    (a pair theorem under relabeling each summand on its own, a partition
+    theorem under one permutation of the space and its blocks), so the
+    least refuting labeled case is made of representatives and the
+    witnesses are those of the labeled sweep.  The sweep always completes,
+    so counts are cap-determined and witnesses are minimal; jobs > 1 splits
+    the space sweep across processes with a deterministic merge.  A
+    finding's elapsed is the time spent in that theorem's checks, summed
+    over workers.
 
     Each space is evaluated once: its SpaceContext memoizes verdicts while
     its theorems run, and the pair sweep keeps each summand's verdicts for
@@ -1076,11 +1088,14 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     _check_size(n_max)
     chosen = _space_theorem_ids(ids)
     caps = {"space": n_max, "pair": min(n_max, 5), "partition": min(n_max, 4)}
+    scope_ids = {scope: [tid for tid in chosen if _REGISTRY[tid].scope == scope] for scope in caps}
+    largest = max((caps[scope] for scope in caps if scope_ids[scope]), default=-1)
+    classes = [list(_preorder_classes(n)) for n in range(largest + 1)]
     results: dict[str, tuple[int, dict | None, float]] = {}
     for scope, cap in caps.items():
-        scope_ids = [tid for tid in chosen if _REGISTRY[tid].scope == scope]
-        if scope_ids:
-            count, slots = _merge(_scope_parts(scope, scope_ids, cap, jobs))
+        if scope_ids[scope]:
+            parts = _scope_parts(scope, scope_ids[scope], classes[:cap + 1], jobs)
+            count, slots = _merge(parts)
             for tid, (witness, seconds) in slots.items():
                 results[tid] = (count, witness, seconds)
 

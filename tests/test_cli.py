@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -66,6 +67,9 @@ def _space_docs(draw):
             parent[key] = draw(odd)
     return doc
 
+
+# sha256 of `verify all --n-max 5` stdout, the same at every commit since the seed
+SEED_VERIFY_N5_SHA256 = "f187d1f5f563a0545b921c3eecf5d06064ce1d9e5b5e765e7e747a73d54863fc"
 
 SIERPINSKI_DOC = {"points": 2, "opens": [[], [1], [0, 1]]}
 GOLDEN4_DOC = {"points": 4, "opens": [[], [2], [0, 1], [0, 1, 2], [0, 1, 2, 3]],
@@ -247,6 +251,12 @@ class TestVerifyCommand:
         assert rc == 2 and out == ""
         assert err.splitlines() == ["carrier size must be nonnegative"]
 
+    def test_jobs_below_one_exit2(self):
+        for jobs in ("0", "-3"):
+            rc, out, err = run_cli("verify", "all", "--n-max", "2", "--jobs", jobs)
+            assert rc == 2 and out == ""
+            assert err.splitlines() == [f"--jobs must be at least 1, got {jobs}"]
+
 
 class TestHasse:
     def test_sierpinski(self):
@@ -322,6 +332,14 @@ class TestDeterminism:
         payload = json.dumps(GOLDEN4_DOC)
         outs = {run_cli("classify", stdin=payload)[1] for _ in range(3)}
         assert len(outs) == 1
+
+    def test_verify_n5_matches_seed_reference(self):
+        for jobs in ("1", "2"):
+            rc, out, _ = run_cli("verify", "all", "--n-max", "5", "--jobs", jobs)
+            assert rc == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == SEED_VERIFY_N5_SHA256, jobs
+        counts = {f["scope"]: f["spaces_checked"] for f in json.loads(out)["findings"]}
+        assert counts == {"space": 7332, "pair": 15688, "partition": 5480}
 
     def test_verify_byte_identical_across_jobs(self):
         a = run_cli("verify", "all", "--n-max", "3")[1]

@@ -10,10 +10,17 @@ import pytest
 from finitetop import cli
 from finitetop.axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
 from finitetop.core import Preorder, alexandrov, bit_indices
+from finitetop.decomp import Decomposition, iter_partitions, tau_F
 from finitetop.enumerate import (
+    _REGISTRY,
     MAX_POINTS,
     ImplicationMatrix,
+    PairCase,
     SizeTooLargeError,
+    Theorem,
+    _SummandVerdicts,
+    _pair_payload,
+    _partition_payload,
     _preorder_classes,
     _space_payload,
     _sweep,
@@ -219,7 +226,122 @@ def _relabel(pre: Preorder, perm: list[int]) -> Preorder:
     return Preorder(pre.n, tuple(up))
 
 
+def _shuffled(rng: random.Random, n: int) -> list[int]:
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return perm
+
+
+def _lone_pair(left, right) -> PairCase:
+    """A pair case outside any sweep, on a summand memo of its own."""
+    pools = [[] for _ in range(max(left.n, right.n) + 1)]
+    pools[left.n].append(left)
+    pools[right.n].append(right)
+    return PairCase(_SummandVerdicts(pools), (left.n, 0), (right.n, len(pools[right.n]) - 1))
+
+
+def _labeled_pair_cases(cap: int):
+    """Every ordered labeled pair of combined size at most cap, each weighing 1."""
+    pools = [list(enumerate_topologies(n)) for n in range(cap + 1)]
+    memo = _SummandVerdicts(pools)
+    for total in range(cap + 1):
+        for na in range(total + 1):
+            nb = total - na
+            for ia in range(len(pools[na])):
+                for ib in range(len(pools[nb])):
+                    yield 1, (PairCase(memo, (na, ia), (nb, ib)),)
+
+
+def _labeled_partition_cases(cap: int):
+    """Every partition of every labeled space on at most cap points, each weighing 1."""
+    for n in range(cap + 1):
+        for top in enumerate_topologies(n):
+            for dec in iter_partitions(n):
+                yield 1, (top, dec)
+
+
+# relabeling-invariant probes, so that the labeled oracles compare witnesses:
+# every real pair and partition theorem is verified at cap 4.  Each refutes
+# more than one case of its least size, so the sweep order decides its witness.
+
+def _neither_t1(pair: PairCase) -> dict | None:
+    if not pair.summand_verdict(0, "T1", DEFINITIONAL) and \
+            not pair.summand_verdict(1, "T1", DEFINITIONAL):
+        return {"probe": "neither summand is T1"}
+    return None
+
+
+def _proper_block_open(top, dec: Decomposition) -> dict | None:
+    if len(top.opens) == 1 << top.n:
+        return None
+    for i, block in enumerate(dec.blocks):
+        if block & (block - 1) and block != top.full_bits and block in top.opens_set:
+            return {"block": i}
+    return None
+
+
+_PAIR_PROBE = Theorem("pair_oracle_probe", "probe: some summand is T1",
+                      "pair", False, _neither_t1)
+_PARTITION_PROBE = Theorem("partition_oracle_probe",
+                           "probe: no block of two or more points, not all, is open in a non-discrete space",
+                           "partition", False, _proper_block_open)
+
+
 class TestRelabeling:
+    def test_pair_outcomes_invariant(self):
+        """Relabeling each summand on its own keeps every pair theorem's result.
+
+        The union and summand verdicts the disjoint-union laws compare are
+        required to stay too, so that the test is not only about verified
+        theorems returning None.
+        """
+        pair_theorems = [t for t in theorems() if t.scope == "pair"]
+        axioms = ("T-1", "T1/4", "T1/3", "T1/2")
+
+        def outcome(left: Preorder, right: Preorder):
+            pair = _lone_pair(alexandrov(left), alexandrov(right))
+            verdicts = [(pair.union_verdict(axiom, mode), pair.summand_verdict(0, axiom, mode),
+                         pair.summand_verdict(1, axiom, mode))
+                        for axiom in axioms for mode in (DEFINITIONAL, CHARACTERIZED)]
+            return verdicts, [t.check(pair) is None for t in pair_theorems]
+
+        rng = random.Random(2017)
+        pres = [list(enumerate_preorders(n)) for n in range(5)]
+        for total in range(5):
+            for na in range(total + 1):
+                nb = total - na
+                for left in pres[na]:
+                    for right in pres[nb]:
+                        want = outcome(left, right)
+                        for _ in range(2):
+                            pa, pb = _shuffled(rng, na), _shuffled(rng, nb)
+                            got = outcome(_relabel(left, pa), _relabel(right, pb))
+                            assert got == want, (preorder_encoding(left), pa,
+                                                 preorder_encoding(right), pb)
+
+    def test_partition_outcomes_invariant(self):
+        """One permutation of a space and its blocks keeps every partition theorem's result.
+
+        Whether the saturated family sits inside the topology, which decides
+        the quotient theorem's branch, is required to stay too.
+        """
+        partition_theorems = [t for t in theorems() if t.scope == "partition"]
+
+        def outcome(top, dec: Decomposition):
+            contained = all(s in top.opens_set for s in tau_F(top, dec).family)
+            return contained, [t.check(top, dec) is None for t in partition_theorems]
+
+        rng = random.Random(2017)
+        for n in range(5):
+            decs = list(iter_partitions(n))
+            for pre in enumerate_preorders(n):
+                top = alexandrov(pre)
+                for dec in decs:
+                    perm = _shuffled(rng, n)
+                    blocks = tuple(sum(1 << perm[x] for x in bit_indices(b)) for b in dec.blocks)
+                    got = outcome(alexandrov(_relabel(pre, perm)), Decomposition(n, blocks))
+                    assert got == outcome(top, dec), (preorder_encoding(pre), dec.blocks, perm)
+
     def test_verdicts_and_outcomes_invariant(self):
         space_theorems = [t for t in theorems() if t.scope == "space"]
 
@@ -234,8 +356,7 @@ class TestRelabeling:
             for pre in enumerate_preorders(n):
                 want = outcome(pre)
                 for _ in range(2):
-                    perm = list(range(n))
-                    rng.shuffle(perm)
+                    perm = _shuffled(rng, n)
                     assert outcome(_relabel(pre, perm)) == want, (n, preorder_encoding(pre), perm)
 
 
@@ -260,18 +381,41 @@ class TestClasses:
                          for perm in permutations(range(n))}
                 assert size == len(orbit)
 
+    @staticmethod
+    def _assert_matches(ids, count, slots):
+        got = verify_all(ids, n_max=4)
+        assert [f.theorem for f in got] == ids
+        assert any(f.status == "refuted" for f in got)
+        for f in got:
+            witness = slots[f.theorem][0]
+            assert (f.status, f.spaces_checked, f.witness) == \
+                ("verified" if witness is None else "refuted", count, witness), f.theorem
+
     def test_space_theorems_match_labeled_sweep(self):
         ids = [t.id for t in theorems() if t.scope == "space"]
         cases = ((1, (SpaceContext(alexandrov(pre), pre),))
                  for n in range(5) for pre in enumerate_preorders(n))
         count, slots = _sweep(ids, cases, _space_payload)
         assert count == sum(LABELED[:5])
-        got = verify_all(ids, n_max=4)
-        assert any(f.status == "refuted" for f in got)
-        for f in got:
-            witness = slots[f.theorem][0]
-            assert (f.status, f.spaces_checked, f.witness) == \
-                ("verified" if witness is None else "refuted", count, witness), f.theorem
+        self._assert_matches(ids, count, slots)
+
+    def test_pair_theorems_match_labeled_sweep(self, monkeypatch):
+        probe = _PAIR_PROBE
+        monkeypatch.setitem(_REGISTRY, probe.id, probe)
+        ids = [t.id for t in theorems() if t.scope == "pair"]
+        count, slots = _sweep(ids, _labeled_pair_cases(4), _pair_payload)
+        assert count == 862
+        assert slots[probe.id][0] is not None
+        self._assert_matches(ids, count, slots)
+
+    def test_partition_theorems_match_labeled_sweep(self, monkeypatch):
+        probe = _PARTITION_PROBE
+        monkeypatch.setitem(_REGISTRY, probe.id, probe)
+        ids = [t.id for t in theorems() if t.scope == "partition"]
+        count, slots = _sweep(ids, _labeled_partition_cases(4), _partition_payload)
+        assert count == 5480
+        assert slots[probe.id][0] is not None
+        self._assert_matches(ids, count, slots)
 
     def test_implication_matrix_matches_labeled_sweep(self):
         counterexamples = {}
