@@ -55,8 +55,9 @@ class SpaceContext:
     kernel(A) = union of kernels; tests cross-check the tables against the
     direct intersection-of-supersets definitions.
 
-    The context also memoizes results for as long as it lives: ``reports``
-    holds each ``check_space`` report by (axiom, mode), and ``flags`` the
+    The context also memoizes results for as long as it lives: ``masks``
+    holds each ``point_mask`` by (axiom, mode), ``reports`` each
+    ``check_space`` report by (axiom, mode), and ``flags`` the
     ``dynamics.classify_space`` result.  A memo only stores what the route's
     own checker returned, so the definitional and characterized verdicts stay
     independent.
@@ -66,6 +67,7 @@ class SpaceContext:
         self.top = top
         self.n = top.n
         self.full = top.full_bits
+        self.masks: dict[tuple[str, str], int] = {}
         self.reports: dict[tuple[str, str], AxiomReport] = {}
         self.flags: tuple | None = None
         if pre is not None:
@@ -819,25 +821,31 @@ class AxiomReport:
     witness: dict | None
 
 
-def _resolve(axiom: str) -> AxiomSpec:
+def _resolve(axiom: str, point_level: bool = False) -> AxiomSpec:
     spec = AXIOMS.get(axiom)
     if spec is None:
         raise KeyError(f"unknown axiom {axiom!r}")
+    if point_level and not spec.point_level:
+        raise NotPointLevelError(f"axiom {axiom} has no point-level form")
     return spec
 
 
-def _space_eval(ctx: SpaceContext, spec: AxiomSpec, mode: str) -> tuple[bool, dict | None]:
+def _checkers(spec: AxiomSpec, mode: str) -> tuple[Callable | None, Callable | None]:
+    """The (space, point) checkers of one route."""
     if mode == DEFINITIONAL:
-        fn_space, fn_point = spec.def_space, spec.def_point
-    elif mode == CHARACTERIZED:
-        fn_space, fn_point = spec.char_space, spec.char_point
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    if fn_space is not None:
-        return fn_space(ctx)
-    for x in range(ctx.n):
-        if not fn_point(ctx, x):
-            return False, {"point": x}
+        return spec.def_space, spec.def_point
+    if mode == CHARACTERIZED:
+        return spec.char_space, spec.char_point
+    raise ValueError(f"unknown mode {mode!r}")
+
+
+def _space_eval(ctx: SpaceContext, spec: AxiomSpec, mode: str) -> tuple[bool, dict | None]:
+    space = _checkers(spec, mode)[0]
+    if space is not None:
+        return space(ctx)
+    missing = ctx.full & ~point_mask(ctx.top, spec.id, mode, ctx)
+    if missing:
+        return False, {"point": (missing & -missing).bit_length() - 1}
     return True, None
 
 
@@ -846,7 +854,9 @@ def check_space(top: FiniteTopology, axiom: str, mode: str = DEFINITIONAL,
     """Evaluate one axiom on the whole space; false verdicts carry a witness.
 
     With a context the report is memoized on it by (axiom, mode), so a
-    repeated request returns the same report without re-evaluating.
+    repeated request returns the same report without re-evaluating.  A
+    point-level axiom without a space checker holds iff its point mask is
+    full, and its witness is the least point missing from the mask.
     """
     if ctx is None:
         ctx = SpaceContext(top)
@@ -858,21 +868,37 @@ def check_space(top: FiniteTopology, axiom: str, mode: str = DEFINITIONAL,
     return report
 
 
+def point_mask(top: FiniteTopology, axiom: str, mode: str = DEFINITIONAL,
+               ctx: SpaceContext | None = None) -> int:
+    """Bitmask of the points where a point-level axiom holds.
+
+    Bit x is check_point(top, axiom, x, mode), decided by the route's own
+    point checker.  With a context the mask is memoized on it by (axiom,
+    mode); this is the one place that runs a point checker over all points.
+    """
+    if ctx is None:
+        ctx = SpaceContext(top)
+    key = (axiom, mode)
+    mask = ctx.masks.get(key)
+    if mask is None:
+        point = _checkers(_resolve(axiom, point_level=True), mode)[1]
+        mask = 0
+        for x in range(ctx.n):
+            if point(ctx, x):
+                mask |= 1 << x
+        ctx.masks[key] = mask
+    return mask
+
+
 def check_point(top: FiniteTopology, axiom: str, point: int, mode: str = DEFINITIONAL,
                 ctx: SpaceContext | None = None) -> bool:
-    """Evaluate a point-level axiom at one point."""
-    spec = _resolve(axiom)
-    if not spec.point_level:
-        raise NotPointLevelError(f"axiom {axiom} has no point-level form")
+    """Evaluate a point-level axiom at one point, uncached."""
+    spec = _resolve(axiom, point_level=True)
     if not 0 <= point < top.n:
         raise ValueError(f"point {point} outside universe of size {top.n}")
     if ctx is None:
         ctx = SpaceContext(top)
-    if mode == DEFINITIONAL:
-        return spec.def_point(ctx, point)
-    if mode == CHARACTERIZED:
-        return spec.char_point(ctx, point)
-    raise ValueError(f"unknown mode {mode!r}")
+    return _checkers(spec, mode)[1](ctx, point)
 
 
 def axiom_vector(top: FiniteTopology, mode: str = DEFINITIONAL,

@@ -75,11 +75,11 @@ def _load_json(path: str) -> Any:
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise DocumentError(f"invalid JSON: {exc}") from exc
 
 

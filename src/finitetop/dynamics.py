@@ -17,9 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# a point is recurrent when its class is closed or its derived set is not,
-# and proper when its derived set is closed: the recurrent and TD order forms
-from .axioms import SpaceContext, _c_recurrent as _recurrent, _c_td as _proper
+from .axioms import CHARACTERIZED, SpaceContext, point_mask
 from .core import FiniteTopology, bit_indices
 from .order import _down_closure
 
@@ -43,11 +41,7 @@ def _maximal(ctx: SpaceContext, x: int) -> bool:
 
 
 def recurrent_mask(ctx: SpaceContext) -> int:
-    mask = 0
-    for x in range(ctx.n):
-        if _recurrent(ctx, x):
-            mask |= 1 << x
-    return mask
+    return point_mask(ctx.top, "recurrent", CHARACTERIZED, ctx)
 
 
 def _up_open(ctx: SpaceContext, x: int) -> bool:
@@ -55,13 +49,10 @@ def _up_open(ctx: SpaceContext, x: int) -> bool:
     return ctx.up[x] in ctx.top.opens_set
 
 
-def _weakly_non_indifferent(ctx: SpaceContext, x: int) -> bool:
-    if not _up_open(ctx, x):
-        return False
-    if ctx.up[x] & ~(1 << x) == 0:
-        return False
-    shell_cls = ctx.up[x] & ~ctx.cls[x]
-    return all(_proper(ctx, y) for y in bit_indices(shell_cls))
+def _weakly_non_indifferent(ctx: SpaceContext, x: int, proper: int) -> bool:
+    # the upset is open, holds another point, and is proper outside the class
+    up = ctx.up[x]
+    return _up_open(ctx, x) and up != 1 << x and up & ~ctx.cls[x] & ~proper == 0
 
 
 def _weakly_saddle_like(ctx: SpaceContext, x: int) -> bool:
@@ -76,11 +67,9 @@ def _weakly_saddle_like(ctx: SpaceContext, x: int) -> bool:
     return False
 
 
-def _strong_tail(ctx: SpaceContext, x: int) -> bool:
+def _strong_tail(ctx: SpaceContext, x: int, proper: int) -> bool:
     shell_cls = ctx.up[x] & ~ctx.cls[x]
-    if shell_cls == 0:
-        return False
-    return all(_proper(ctx, y) for y in bit_indices(shell_cls))
+    return shell_cls != 0 and shell_cls & ~proper == 0
 
 
 def _non_wandering_mask(ctx: SpaceContext) -> int:
@@ -111,14 +100,18 @@ def classify_space(top: FiniteTopology, ctx: SpaceContext | None = None) -> tupl
 
 def _classify(ctx: SpaceContext) -> tuple[DynClass, ...]:
     nw = _non_wandering_mask(ctx)
+    # a point is recurrent when its class is closed or its derived set is not,
+    # and proper when its derived set is closed: the recurrent and TD order forms
+    recurrent = recurrent_mask(ctx)
+    proper = point_mask(ctx.top, "TD", CHARACTERIZED, ctx)
     out = []
     for x in range(ctx.n):
-        rec = _recurrent(ctx, x)
-        prop = _proper(ctx, x)
+        rec = bool(recurrent >> x & 1)
+        prop = bool(proper >> x & 1)
         exc = not _maximal(ctx, x) and not prop
-        wni = _weakly_non_indifferent(ctx, x)
+        wni = _weakly_non_indifferent(ctx, x, proper)
         wsl = _weakly_saddle_like(ctx, x)
-        tail = _strong_tail(ctx, x)
+        tail = _strong_tail(ctx, x, proper)
         ni = wni and tail
         sl = wsl and tail
         out.append(DynClass(

@@ -29,8 +29,8 @@ from .axioms import (
     CHARACTERIZED,
     DEFINITIONAL,
     SpaceContext,
-    check_point,
     check_space,
+    point_mask,
 )
 from .core import (
     FiniteTopology,
@@ -90,29 +90,6 @@ def decode_preorder(n: int, code: int) -> Preorder:
             if code >> (n * n - 1 - (i * n + j)) & 1:
                 up[i] |= 1 << j
     return Preorder(n, tuple(up))
-
-
-def topology_encoding(top: FiniteTopology) -> int:
-    """Bitmap over subset indices: bit s is set iff subset s is open."""
-    code = 0
-    for u in top.opens:
-        code |= 1 << u
-    return code
-
-
-def canonical_preorder_key(pre: Preorder) -> int:
-    """Least preorder encoding over all relabelings of the points."""
-    n = pre.n
-    best = None
-    for perm in permutations(range(n)):
-        code = 0
-        for i in range(n):
-            row = pre.up[perm[i]]
-            for j in range(n):
-                code = code << 1 | (row >> perm[j] & 1)
-        if best is None or code < best:
-            best = code
-    return best if best is not None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +315,6 @@ def enumerate_open_families(n: int) -> Iterator[FiniteTopology]:
     yield from rec(1)
 
 
-def count_open_families(n: int) -> int:
-    _check_size(n)
-    return sum(1 for _ in enumerate_open_families(n))
-
-
 # ---------------------------------------------------------------------------
 # theorem registry
 
@@ -403,19 +375,27 @@ def theorems() -> tuple[Theorem, ...]:
     return tuple(_REGISTRY.values())
 
 
+def _first_difference(a: int, b: int, names: tuple[str, str]) -> dict | None:
+    """The least point where point masks a and b differ, with each one's bit there."""
+    diff = a ^ b
+    if not diff:
+        return None
+    x = (diff & -diff).bit_length() - 1
+    return {"point": x, names[0]: bool(a >> x & 1), names[1]: bool(b >> x & 1)}
+
+
 # every axiom's definitional checker must agree with its order characterization
 
 def _mode_agreement(axiom: str) -> Callable:
-    spec = AXIOMS[axiom]
+    point_level = AXIOMS[axiom].point_level
 
     def run(ctx: SpaceContext) -> dict | None:
-        if spec.point_level:
-            for x in range(ctx.n):
-                d = spec.def_point(ctx, x)
-                c = spec.char_point(ctx, x)
-                if d != c:
-                    return {"axiom": axiom, "point": x,
-                            "definitional": d, "characterized": c}
+        if point_level:
+            diff = _first_difference(point_mask(ctx.top, axiom, DEFINITIONAL, ctx),
+                                     point_mask(ctx.top, axiom, CHARACTERIZED, ctx),
+                                     ("definitional", "characterized"))
+            if diff is not None:
+                return {"axiom": axiom, **diff}
         rd = check_space(ctx.top, axiom, DEFINITIONAL, ctx)
         rc = check_space(ctx.top, axiom, CHARACTERIZED, ctx)
         if rd.verdict != rc.verdict:
@@ -492,8 +472,9 @@ def _check_sd_always(ctx: SpaceContext) -> dict | None:
 
 @_theorem("sd_class_reading", "closure minus class is closed iff class-minimal or the point escapes its closure")
 def _check_sd_class_reading(ctx: SpaceContext) -> dict | None:
+    sd = point_mask(ctx.top, "SD", DEFINITIONAL, ctx)
     for x in range(ctx.n):
-        lhs = check_point(ctx.top, "SD", x, DEFINITIONAL, ctx)
+        lhs = bool(sd >> x & 1)
         shell = ctx.top.closure_bits(ctx.closure1[x] & ~ctx.cls_def[x])
         rhs = ctx.down[x] == ctx.cls[x] or not shell >> x & 1
         if lhs != rhs:
@@ -518,8 +499,9 @@ def _check_sd_point_shell(ctx: SpaceContext) -> dict | None:
           "probe: SD at a point iff class-minimal or the point escapes the point-shell closure",
           asserted=False)
 def _check_sd_mixed(ctx: SpaceContext) -> dict | None:
+    sd = point_mask(ctx.top, "SD", DEFINITIONAL, ctx)
     for x in range(ctx.n):
-        lhs = check_point(ctx.top, "SD", x, DEFINITIONAL, ctx)
+        lhs = bool(sd >> x & 1)
         d = ctx.closure1[x] & ~(1 << x)
         rhs = ctx.down[x] == ctx.cls[x] or not ctx.top.closure_bits(d) >> x & 1
         if lhs != rhs:
@@ -528,14 +510,14 @@ def _check_sd_mixed(ctx: SpaceContext) -> dict | None:
 
 
 def _pointwise_chain(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
-    for x in range(ctx.n):
-        prev = None
-        for axiom in chain:
-            cur = check_point(ctx.top, axiom, x, DEFINITIONAL, ctx)
-            if prev is not None and prev and not cur:
-                return {"point": x, "holds": chain[chain.index(axiom) - 1], "fails": axiom}
-            prev = cur
-    return None
+    masks = [point_mask(ctx.top, axiom, DEFINITIONAL, ctx) for axiom in chain]
+    bad = [held & ~fails for held, fails in zip(masks, masks[1:])]
+    # the least point that holds one axiom and fails the next, at its first such link
+    broken = min(((b & -b, i) for i, b in enumerate(bad) if b), default=None)
+    if broken is None:
+        return None
+    low, i = broken
+    return {"point": low.bit_length() - 1, "holds": chain[i], "fails": chain[i + 1]}
 
 
 @_theorem("t1_cr_c0_cd_chain", "pointwise T1 implies CR implies C0 implies CD")
@@ -615,12 +597,8 @@ def _check_cr_nested_sq(ctx: SpaceContext) -> dict | None:
 
 @_theorem("recurrent_eq_c0_finite", "recurrent and C0 coincide pointwise on finite spaces")
 def _check_recurrent_c0(ctx: SpaceContext) -> dict | None:
-    for x in range(ctx.n):
-        r = check_point(ctx.top, "recurrent", x, DEFINITIONAL, ctx)
-        c = check_point(ctx.top, "C0", x, DEFINITIONAL, ctx)
-        if r != c:
-            return {"point": x, "recurrent": r, "C0": c}
-    return None
+    recurrent = point_mask(ctx.top, "recurrent", DEFINITIONAL, ctx)
+    return _first_difference(recurrent, point_mask(ctx.top, "C0", DEFINITIONAL, ctx), ("recurrent", "C0"))
 
 
 @_theorem("t13_eq_t12_finite", "T1/4, T1/3 and T1/2 coincide on finite spaces")
@@ -785,75 +763,39 @@ def _check_exceptional(ctx: SpaceContext) -> dict | None:
     return None
 
 
-# bit of (axiom, mode) in the verdict words of _SummandVerdicts
-_VERDICT_BIT = {
-    (axiom, mode): 2 * i + j
-    for i, axiom in enumerate(AXIOMS)
-    for j, mode in enumerate((DEFINITIONAL, CHARACTERIZED))
-}
-
-
-class _SummandVerdicts:
-    """Summand verdicts and closures of one pair sweep.
-
-    A summand is keyed by its position (n, index) in the sweep's pools.  Bit
-    _VERDICT_BIT[axiom, mode] of known[n][index] is set once that verdict has
-    been computed, and the same bit of value[n][index] holds it.
-    closures[n][index] is None until the summand's closure table, the
-    closure of every subset a at index a, is first asked for.
-    """
-
-    def __init__(self, pools: list[list[FiniteTopology]]):
-        self.pools = pools
-        self.known = [[0] * len(pool) for pool in pools]
-        self.value = [[0] * len(pool) for pool in pools]
-        self.closures: list[list[tuple[int, ...] | None]] = [[None] * len(pool) for pool in pools]
-
-
 class PairCase:
     """One ordered pair of the pair sweep: both summands and their union.
 
-    The union and its context are built with the case, before any pair
-    theorem runs, and shared by all of them.  Summand verdicts are looked up
-    in the sweep's memo and computed, on a context built for this pair, only
-    on a miss.
+    Each summand comes as its SpaceContext, which memoizes its verdicts, and
+    its closure table (closure_bits of every subset a, at index a); the pair
+    sweep shares both among all pairs of one call.  The union and its
+    context are built with the case and shared by all pair theorems.
     """
 
-    def __init__(self, memo: _SummandVerdicts, left: tuple[int, int], right: tuple[int, int]):
-        self.memo = memo
-        self.keys = (left, right)
-        self.left = memo.pools[left[0]][left[1]]
-        self.right = memo.pools[right[0]][right[1]]
+    def __init__(self, left: SpaceContext, right: SpaceContext,
+                 closures: tuple[tuple[int, ...], tuple[int, ...]]):
+        self.summands = (left, right)
+        self.left, self.right = left.top, right.top
+        self.closures = closures
         self.union = disjoint_union([self.left, self.right])
         self.ctx = SpaceContext(self.union)
-        self._summand_ctx: list[SpaceContext | None] = [None, None]
 
     def union_verdict(self, axiom: str, mode: str) -> bool:
         return check_space(self.union, axiom, mode, self.ctx).verdict
 
     def summand_verdict(self, side: int, axiom: str, mode: str) -> bool:
         """Verdict on the left (side 0) or right (side 1) summand."""
-        n, i = self.keys[side]
-        memo = self.memo
-        bit = 1 << _VERDICT_BIT[axiom, mode]
-        if not memo.known[n][i] & bit:
-            ctx = self._summand_ctx[side]
-            if ctx is None:
-                top = self.right if side else self.left
-                ctx = self._summand_ctx[side] = SpaceContext(top)
-            memo.known[n][i] |= bit
-            if check_space(ctx.top, axiom, mode, ctx).verdict:
-                memo.value[n][i] |= bit
-        return bool(memo.value[n][i] & bit)
+        ctx = self.summands[side]
+        return check_space(ctx.top, axiom, mode, ctx).verdict
 
     def summand_closures(self, side: int) -> tuple[int, ...]:
         """Closures of every subset of the left (side 0) or right (side 1) summand."""
-        n, i = self.keys[side]
-        table = self.memo.closures[n][i]
-        if table is None:
-            top = self.right if side else self.left
-            table = self.memo.closures[n][i] = tuple(top.closure_bits(a) for a in range(1 << n))
-        return table
+        return self.closures[side]
+
+
+def _closure_table(top: FiniteTopology) -> tuple[int, ...]:
+    """closure_bits of every subset of the carrier, indexed by the subset."""
+    return tuple(top.closure_bits(a) for a in range(1 << top.n))
 
 
 def _du_invariance(axiom: str) -> Callable:
@@ -970,18 +912,21 @@ def _pair_cases(classes: list[_Classes]) -> Iterator[tuple[int, tuple[PairCase]]
     """Ordered pairs of class representatives, classes[n] for each size n.
 
     Pairs come by combined size up to the last size given, then left size,
-    then pool positions, and weigh orbit(left) * orbit(right).  Each case's
-    union and its context are built here, so that no theorem's time
-    includes them.
+    then pool positions, and weigh orbit(left) * orbit(right).  Each
+    representative's context and closure table are built once here, and
+    each case's union and its context with the case, so that no theorem's
+    time includes them.
     """
-    pools = [[alexandrov(Preorder(n, rows)) for rows, _ in reps] for n, reps in enumerate(classes)]
-    memo = _SummandVerdicts(pools)
+    pools = []
+    for n, reps in enumerate(classes):
+        tops = [alexandrov(Preorder(n, rows)) for rows, _ in reps]
+        pools.append([(SpaceContext(top), _closure_table(top), size)
+                      for top, (_, size) in zip(tops, reps)])
     for total in range(len(classes)):
         for na in range(total + 1):
-            nb = total - na
-            for ia, (_, wa) in enumerate(classes[na]):
-                for ib, (_, wb) in enumerate(classes[nb]):
-                    yield wa * wb, (PairCase(memo, (na, ia), (nb, ib)),)
+            for left, left_closures, wa in pools[na]:
+                for right, right_closures, wb in pools[total - na]:
+                    yield wa * wb, (PairCase(left, right, (left_closures, right_closures)),)
 
 
 def _pair_payload(pair: PairCase) -> dict:
@@ -1081,9 +1026,10 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     finding's elapsed is the time spent in that theorem's checks, summed
     over workers.
 
-    Each space is evaluated once: its SpaceContext memoizes verdicts while
-    its theorems run, and the pair sweep keeps each summand's verdicts for
-    the length of this call.  Nothing is cached across calls.
+    Each route's point checker runs once per space and axiom: a space's
+    SpaceContext memoizes its point masks and verdicts while its theorems
+    run, and the pair sweep keeps one context per summand for this call.
+    Nothing is cached across calls.
     """
     _check_size(n_max)
     chosen = _space_theorem_ids(ids)

@@ -29,9 +29,9 @@ from finitetop.decomp import iter_partitions, lemma001_check, tau_F
 from finitetop.dynamics import classify_space
 from finitetop.enumerate import (
     _REGISTRY,
-    count_open_families,
     count_preorders,
     decode_preorder,
+    enumerate_open_families,
     enumerate_preorders,
     enumerate_topologies,
     implication_matrix,
@@ -48,6 +48,10 @@ GOLDEN4 = FiniteTopology(4, (0, 0b0100, 0b0011, 0b0111, 0b1111))
 MIN_S1 = alexandrov(Preorder.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
 
 BOTH_MODES = (DEFINITIONAL, CHARACTERIZED)
+
+
+def count_open_families(n: int) -> int:
+    return sum(1 for _ in enumerate_open_families(n))
 
 
 def criterion(num: int, label: str):

@@ -70,6 +70,8 @@ def _space_docs(draw):
 
 # sha256 of `verify all --n-max 5` stdout, the same at every commit since the seed
 SEED_VERIFY_N5_SHA256 = "f187d1f5f563a0545b921c3eecf5d06064ce1d9e5b5e765e7e747a73d54863fc"
+# sha256 of `verify all --n-max 6 --jobs 2` stdout; n = 6 is the first size the worker pool runs
+VERIFY_N6_SHA256 = "bca8868f24d5e53968daadea173c37835a70d87d24e809c04353d0671608fb9a"
 
 SIERPINSKI_DOC = {"points": 2, "opens": [[], [1], [0, 1]]}
 GOLDEN4_DOC = {"points": 4, "opens": [[], [2], [0, 1], [0, 1, 2], [0, 1, 2, 3]],
@@ -208,6 +210,20 @@ class TestClassify:
                            stdin=json.dumps(SIERPINSKI_DOC))
         assert rc == 2
 
+    def test_undecodable_file_exit2(self, tmp_path):
+        p = tmp_path / "space.json"
+        p.write_bytes(b"\xff\xfe{}")
+        for command in ("classify", "hasse"):
+            rc, out, err = run_cli(command, str(p))
+            assert (rc, out) == (2, ""), command
+            assert len(err.splitlines()) == 1 and "Traceback" not in err, command
+
+    def test_deeply_nested_json_exit2(self):
+        for command in ("classify", "hasse"):
+            rc, out, err = run_cli(command, stdin="[" * 100000)
+            assert (rc, out) == (2, ""), command
+            assert len(err.splitlines()) == 1 and "Traceback" not in err, command
+
     def test_reads_file(self, tmp_path):
         p = tmp_path / "space.json"
         p.write_text(json.dumps(SIERPINSKI_DOC))
@@ -340,6 +356,11 @@ class TestDeterminism:
             assert hashlib.sha256(out.encode()).hexdigest() == SEED_VERIFY_N5_SHA256, jobs
         counts = {f["scope"]: f["spaces_checked"] for f in json.loads(out)["findings"]}
         assert counts == {"space": 7332, "pair": 15688, "partition": 5480}
+
+    def test_verify_n6_matches_reference(self):
+        rc, out, _ = run_cli("verify", "all", "--n-max", "6", "--jobs", "2")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N6_SHA256
 
     def test_verify_byte_identical_across_jobs(self):
         a = run_cli("verify", "all", "--n-max", "3")[1]

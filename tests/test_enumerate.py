@@ -18,14 +18,12 @@ from finitetop.enumerate import (
     PairCase,
     SizeTooLargeError,
     Theorem,
-    _SummandVerdicts,
+    _closure_table,
     _pair_payload,
     _partition_payload,
     _preorder_classes,
     _space_payload,
     _sweep,
-    canonical_preorder_key,
-    count_open_families,
     count_preorders,
     count_topologies,
     decode_preorder,
@@ -35,7 +33,6 @@ from finitetop.enumerate import (
     implication_matrix,
     preorder_encoding,
     theorems,
-    topology_encoding,
     verify,
     verify_all,
 )
@@ -43,6 +40,33 @@ from finitetop.enumerate import (
 LABELED = (1, 1, 4, 29, 355, 6942, 209527)
 # OEIS A001930: topologies up to relabeling
 UNLABELED = (1, 1, 3, 9, 33, 139, 718)
+
+
+def topology_encoding(top) -> int:
+    """Bitmap over subset indices: bit s is set iff subset s is open."""
+    code = 0
+    for u in top.opens:
+        code |= 1 << u
+    return code
+
+
+def canonical_preorder_key(pre: Preorder) -> int:
+    """Least preorder encoding over all relabelings of the points, by brute force."""
+    n = pre.n
+    best = None
+    for perm in permutations(range(n)):
+        code = 0
+        for i in range(n):
+            row = pre.up[perm[i]]
+            for j in range(n):
+                code = code << 1 | (row >> perm[j] & 1)
+        if best is None or code < best:
+            best = code
+    return best if best is not None else 0
+
+
+def count_open_families(n: int) -> int:
+    return sum(1 for _ in enumerate_open_families(n))
 
 
 class TestEncodings:
@@ -233,23 +257,21 @@ def _shuffled(rng: random.Random, n: int) -> list[int]:
 
 
 def _lone_pair(left, right) -> PairCase:
-    """A pair case outside any sweep, on a summand memo of its own."""
-    pools = [[] for _ in range(max(left.n, right.n) + 1)]
-    pools[left.n].append(left)
-    pools[right.n].append(right)
-    return PairCase(_SummandVerdicts(pools), (left.n, 0), (right.n, len(pools[right.n]) - 1))
+    """A pair case outside any sweep, on summand contexts of its own."""
+    return PairCase(SpaceContext(left), SpaceContext(right),
+                    (_closure_table(left), _closure_table(right)))
 
 
 def _labeled_pair_cases(cap: int):
     """Every ordered labeled pair of combined size at most cap, each weighing 1."""
-    pools = [list(enumerate_topologies(n)) for n in range(cap + 1)]
-    memo = _SummandVerdicts(pools)
+    pools = [[(SpaceContext(top), _closure_table(top)) for top in enumerate_topologies(n)]
+             for n in range(cap + 1)]
     for total in range(cap + 1):
         for na in range(total + 1):
             nb = total - na
-            for ia in range(len(pools[na])):
-                for ib in range(len(pools[nb])):
-                    yield 1, (PairCase(memo, (na, ia), (nb, ib)),)
+            for left, left_closures in pools[na]:
+                for right, right_closures in pools[nb]:
+                    yield 1, (PairCase(left, right, (left_closures, right_closures)),)
 
 
 def _labeled_partition_cases(cap: int):

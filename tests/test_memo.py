@@ -1,12 +1,16 @@
 """The memoized paths against the uncached ones.
 
-A SpaceContext memoizes check_space reports and the dynamics flags, a
-Preorder caches its class poset, and the pair sweep keeps summand verdicts
-for one verify_all call.  Each test here recomputes the same values on
-fresh objects and requires identical results.
+A SpaceContext memoizes per-point verdict masks, check_space reports and
+the dynamics flags, a Preorder caches its class poset, and the pair sweep
+keeps one context per summand for one verify_all call.  Each test here
+recomputes the same values on fresh objects and requires identical
+results; the theorems that read masks are compared with the point loops
+they replaced, kept here as references.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 from finitetop.axioms import (
     AXIOMS,
@@ -14,13 +18,18 @@ from finitetop.axioms import (
     DEFINITIONAL,
     SpaceContext,
     _space_eval,
+    check_point,
     check_space,
+    point_mask,
 )
 from finitetop.core import Preorder, alexandrov, class_poset, disjoint_union
 from finitetop.dynamics import _classify, classify_space
 from finitetop.enumerate import (
+    _MODE_THEOREMS,
+    _REGISTRY,
     PairCase,
-    _SummandVerdicts,
+    _closure_table,
+    _pointwise_chain,
     enumerate_preorders,
     enumerate_topologies,
     theorems,
@@ -29,6 +38,8 @@ from finitetop.enumerate import (
 
 MODES = (DEFINITIONAL, CHARACTERIZED)
 SPACE_THEOREMS = [t for t in theorems() if t.scope == "space"]
+POINT_AXIOMS = [axiom for axiom, spec in AXIOMS.items() if spec.point_level]
+MODE_THEOREM = {axiom: _REGISTRY[tid] for tid, axiom, _ in _MODE_THEOREMS}
 
 
 def _labeled_spaces(n_max: int):
@@ -75,16 +86,119 @@ class TestSpaceMemo:
             assert cached == class_poset(top.specialization())
 
 
+def _reference_mode_agreement(ctx: SpaceContext, axiom: str) -> dict | None:
+    """A mode theorem as a loop over both routes' point checkers."""
+    spec = AXIOMS[axiom]
+    if spec.point_level:
+        for x in range(ctx.n):
+            d = spec.def_point(ctx, x)
+            c = spec.char_point(ctx, x)
+            if d != c:
+                return {"axiom": axiom, "point": x,
+                        "definitional": d, "characterized": c}
+    rd = check_space(ctx.top, axiom, DEFINITIONAL, ctx)
+    rc = check_space(ctx.top, axiom, CHARACTERIZED, ctx)
+    if rd.verdict != rc.verdict:
+        return {"axiom": axiom, "definitional": rd.verdict,
+                "characterized": rc.verdict,
+                "definitional_witness": rd.witness,
+                "characterized_witness": rc.witness}
+    return None
+
+
+def _reference_chain(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
+    """A pointwise chain as a loop of uncached check_point calls."""
+    for x in range(ctx.n):
+        prev = None
+        for axiom in chain:
+            cur = check_point(ctx.top, axiom, x, DEFINITIONAL, ctx)
+            if prev is not None and prev and not cur:
+                return {"point": x, "holds": chain[chain.index(axiom) - 1], "fails": axiom}
+            prev = cur
+    return None
+
+
+class TestPointMasks:
+    def test_mask_bits_match_fresh_check_point(self):
+        for pre, top in _labeled_spaces(4):
+            shared = _shared_context(pre, top)
+            fresh = SpaceContext(top)
+            for axiom in POINT_AXIOMS:
+                for mode in MODES:
+                    assert (axiom, mode) in shared.masks
+                    mask = point_mask(top, axiom, mode, shared)
+                    for x in range(top.n):
+                        assert bool(mask >> x & 1) == check_point(top, axiom, x, mode, fresh), \
+                            (top, axiom, mode, x)
+                    assert mask >> top.n == 0
+
+    def test_dynamics_reads_the_char_masks(self):
+        for pre, top in _labeled_spaces(4):
+            flags = classify_space(top, _shared_context(pre, top))
+            for x, f in enumerate(flags):
+                assert f.recurrent == check_point(top, "recurrent", x, CHARACTERIZED)
+                assert f.proper == check_point(top, "TD", x, CHARACTERIZED)
+
+    def _assert_mode_theorem_matches(self, axiom: str) -> int:
+        refuted = 0
+        for pre, top in _labeled_spaces(4):
+            got = MODE_THEOREM[axiom].check(SpaceContext(top, pre))
+            want = _reference_mode_agreement(SpaceContext(top, pre), axiom)
+            assert got == want, (top, axiom)
+            refuted += want is not None
+        return refuted
+
+    def test_mode_theorems_match_reference(self):
+        for axiom in MODE_THEOREM:
+            assert self._assert_mode_theorem_matches(axiom) == 0
+
+    def test_injected_point_disagreement(self, monkeypatch):
+        spec = AXIOMS["CD"]
+
+        def flipped(ctx, x):
+            # wrong at every point that lies above all points
+            return spec.char_point(ctx, x) != (ctx.down[x] == ctx.full)
+
+        monkeypatch.setitem(AXIOMS, "CD", dataclasses.replace(spec, char_point=flipped))
+        assert self._assert_mode_theorem_matches("CD") > 0
+
+    def test_injected_space_disagreement(self, monkeypatch):
+        spec = AXIOMS["T1/4"]
+
+        def flipped(ctx):
+            verdict, witness = spec.char_space(ctx)
+            if ctx.n != 3:
+                return verdict, witness
+            return not verdict, None if not verdict else {"injected": True}
+
+        monkeypatch.setitem(AXIOMS, "T1/4", dataclasses.replace(spec, char_space=flipped))
+        assert self._assert_mode_theorem_matches("T1/4") == 29
+
+    def test_pointwise_chains_match_reference(self):
+        chains = (("T1", "CR", "C0", "CD"), ("CR", "CN"), ("S1", "C0", "recurrent"),
+                  ("CD", "T1"), ("CD", "C0", "CR", "T1"), ("T0", "SD", "TD"))
+        refuted = set()
+        for pre, top in _labeled_spaces(4):
+            ctx, ref = SpaceContext(top, pre), SpaceContext(top, pre)
+            for chain in chains:
+                want = _reference_chain(ref, chain)
+                assert _pointwise_chain(ctx, chain) == want, (top, chain)
+                if want is not None:
+                    refuted.add(chain)
+        assert refuted == set(chains[3:])
+
+
 class TestPairMemo:
     def test_pair_verdicts_match_fresh_evaluation(self):
         cap = 3
-        pools = [list(enumerate_topologies(n)) for n in range(cap + 1)]
-        memo = _SummandVerdicts(pools)
+        pools = [[(SpaceContext(top), _closure_table(top)) for top in enumerate_topologies(n)]
+                 for n in range(cap + 1)]
         for na in range(cap + 1):
             for nb in range(cap + 1 - na):
-                for ia, left in enumerate(pools[na]):
-                    for ib, right in enumerate(pools[nb]):
-                        pair = PairCase(memo, (na, ia), (nb, ib))
+                for left_ctx, left_closures in pools[na]:
+                    for right_ctx, right_closures in pools[nb]:
+                        left, right = left_ctx.top, right_ctx.top
+                        pair = PairCase(left_ctx, right_ctx, (left_closures, right_closures))
                         union = disjoint_union([left, right])
                         assert pair.union == union
                         for axiom in ("T-1", "T1/4", "T1/3", "T1/2"):
