@@ -581,7 +581,7 @@ def _c_t12_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
     return True, None
 
 
-def _fd_form_holds(ctx: SpaceContext, up: tuple[int, ...], down: tuple[int, ...], n: int) -> int | None:
+def _fd_form_holds(down: tuple[int, ...], n: int) -> int | None:
     """First subset (by bitmap) not of the form closed-minus-downset, else None.
 
     C = F - D with F, D downsets forces F = down(C) and D = F - C, so it
@@ -596,7 +596,7 @@ def _fd_form_holds(ctx: SpaceContext, up: tuple[int, ...], down: tuple[int, ...]
 
 
 def _c_t13_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
-    bad = _fd_form_holds(ctx, ctx.up, ctx.down, ctx.n)
+    bad = _fd_form_holds(ctx.down, ctx.n)
     if bad is None:
         return True, None
     return False, {"subset": sorted(bit_indices(bad))}
@@ -604,7 +604,7 @@ def _c_t13_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
 
 def _c_s13_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
     qpre = class_poset(ctx.pre).as_preorder()
-    bad = _fd_form_holds(ctx, qpre.up, qpre.down, qpre.n)
+    bad = _fd_form_holds(qpre.down, qpre.n)
     if bad is None:
         return True, None
     return False, {"class_subset": sorted(bit_indices(bad))}

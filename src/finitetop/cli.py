@@ -48,7 +48,6 @@ from .enumerate import (
     enumerate_topologies,
     verify_all,
 )
-from .order import heights
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
@@ -71,7 +70,7 @@ class DocumentError(ValueError):
 def _load_json(path: str) -> Any:
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
@@ -204,28 +203,26 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 entry[key + "_witness"] = report.witness
         axioms_doc[axiom] = entry
 
-    per_point, space_height = heights(ctx.pre)
     flags = classify_space(top, ctx)
     points_doc = []
     for x in range(top.n):
         points_doc.append({
             "point": x,
             "label": labels[x] if labels else None,
-            "height": per_point[x],
+            "height": ctx.heights_pp[x],
             "class": _set_list(ctx.cls[x]),
             "dynamics": dataclasses.asdict(flags[x]),
         })
 
-    qtop, _ = top.class_space()
     report_doc = {
         "points": top.n,
         "labels": labels,
         "mode": args.mode,
         "opens": [_set_list(u) for u in top.opens],
         "axioms": axioms_doc,
-        "heights": {"per_point": list(per_point), "space": space_height},
+        "heights": {"per_point": list(ctx.heights_pp), "space": ctx.ht},
         "class_space": {
-            "count": qtop.n,
+            "count": ctx.class_ctx[0].n,
             "classes": [_set_list(b) for b in class_poset(ctx.pre).blocks],
         },
         "dynamics": {

@@ -11,16 +11,21 @@ least-encoded representative per class with its orbit size.
 On top of the enumerators sits a registry of theorems: every order
 characterization, implication chain, finite collapse, transfer law, and
 decomposition criterion checked on all spaces (or pairs, or partitions) up
-to a size cap.  A refuted theorem yields the minimal witness, fewest points
-first and least preorder encoding second.  Probe theorems carry
-asserted=False: their refutations are reportable findings, not failures.
+to a size cap.  A family of look-alike theorems (mode agreements, chains,
+collapses, laws, disjoint-union invariances) is one check factory and one
+registry row per theorem.  A check takes one case: a space case is its
+SpaceContext, a pair case the contexts (left, right, union) of both
+summands and their union, a partition case (space, decomposition).  A
+refuted theorem yields the minimal witness, fewest points first and least
+preorder encoding second.  Probe theorems carry asserted=False: their
+refutations are reportable findings, not failures.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import permutations
 from typing import Callable, Iterable, Iterator
 
@@ -520,21 +525,6 @@ def _pointwise_chain(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
     return {"point": low.bit_length() - 1, "holds": chain[i], "fails": chain[i + 1]}
 
 
-@_theorem("t1_cr_c0_cd_chain", "pointwise T1 implies CR implies C0 implies CD")
-def _check_t1_chain(ctx: SpaceContext) -> dict | None:
-    return _pointwise_chain(ctx, ("T1", "CR", "C0", "CD"))
-
-
-@_theorem("cr_cn_implication", "pointwise CR implies CN")
-def _check_cr_cn(ctx: SpaceContext) -> dict | None:
-    return _pointwise_chain(ctx, ("CR", "CN"))
-
-
-@_theorem("s1_c0_recurrent_chain", "pointwise S1 implies C0 implies recurrent")
-def _check_s1_chain(ctx: SpaceContext) -> dict | None:
-    return _pointwise_chain(ctx, ("S1", "C0", "recurrent"))
-
-
 def _space_chain(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
     prev_id = None
     prev = None
@@ -546,19 +536,18 @@ def _space_chain(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
     return None
 
 
-@_theorem("s12_lambda_s14_chain", "S1/2 implies lambda-space implies S1/4")
-def _check_lambda_chain(ctx: SpaceContext) -> dict | None:
-    return _space_chain(ctx, ("S1/2", "lambda", "S1/4"))
-
-
-@_theorem("s12_s13_s14_chain", "S1/2 implies S1/3 implies S1/4")
-def _check_s_third_chain(ctx: SpaceContext) -> dict | None:
-    return _space_chain(ctx, ("S1/2", "S1/3", "S1/4"))
-
-
-@_theorem("tys_implies_t14", "TYS implies T1/4")
-def _check_tys_t14(ctx: SpaceContext) -> dict | None:
-    return _space_chain(ctx, ("TYS", "T1/4"))
+for _tid, _chain, _axioms, _desc in (
+    ("t1_cr_c0_cd_chain", _pointwise_chain, ("T1", "CR", "C0", "CD"),
+     "pointwise T1 implies CR implies C0 implies CD"),
+    ("cr_cn_implication", _pointwise_chain, ("CR", "CN"), "pointwise CR implies CN"),
+    ("s1_c0_recurrent_chain", _pointwise_chain, ("S1", "C0", "recurrent"),
+     "pointwise S1 implies C0 implies recurrent"),
+    ("s12_lambda_s14_chain", _space_chain, ("S1/2", "lambda", "S1/4"),
+     "S1/2 implies lambda-space implies S1/4"),
+    ("s12_s13_s14_chain", _space_chain, ("S1/2", "S1/3", "S1/4"), "S1/2 implies S1/3 implies S1/4"),
+    ("tys_implies_t14", _space_chain, ("TYS", "T1/4"), "TYS implies T1/4"),
+):
+    _register(_tid, _desc, "space", True, partial(_chain, chain=_axioms))
 
 
 @_theorem("sys_eq_s14_and_sq", "SYS equals S1/4 together with SQ")
@@ -601,14 +590,18 @@ def _check_recurrent_c0(ctx: SpaceContext) -> dict | None:
     return _first_difference(recurrent, point_mask(ctx.top, "C0", DEFINITIONAL, ctx), ("recurrent", "C0"))
 
 
-@_theorem("t13_eq_t12_finite", "T1/4, T1/3 and T1/2 coincide on finite spaces")
-def _check_t_collapse(ctx: SpaceContext) -> dict | None:
-    v14 = check_space(ctx.top, "T1/4", DEFINITIONAL, ctx).verdict
-    v13 = check_space(ctx.top, "T1/3", DEFINITIONAL, ctx).verdict
-    v12 = check_space(ctx.top, "T1/2", DEFINITIONAL, ctx).verdict
-    if not v14 == v13 == v12:
-        return {"T1/4": v14, "T1/3": v13, "T1/2": v12}
-    return None
+def _coincide(*axioms: str) -> Callable:
+    """A check that all of ``axioms`` hold together or fail together."""
+    def run(ctx: SpaceContext) -> dict | None:
+        verdicts = {axiom: check_space(ctx.top, axiom, DEFINITIONAL, ctx).verdict for axiom in axioms}
+        if len(set(verdicts.values())) > 1:
+            return verdicts
+        return None
+    return run
+
+
+_register("t13_eq_t12_finite", "T1/4, T1/3 and T1/2 coincide on finite spaces", "space", True,
+          _coincide("T1/4", "T1/3", "T1/2"))
 
 
 @_theorem("t1_eq_t2_discrete_finite", "T1, T2 and discreteness coincide on finite spaces")
@@ -621,14 +614,8 @@ def _check_t1_t2(ctx: SpaceContext) -> dict | None:
     return None
 
 
-@_theorem("lambda_eq_s14_s12_finite", "lambda-space, S1/4 and S1/2 coincide on finite spaces")
-def _check_lambda_collapse(ctx: SpaceContext) -> dict | None:
-    vl = check_space(ctx.top, "lambda", DEFINITIONAL, ctx).verdict
-    v14 = check_space(ctx.top, "S1/4", DEFINITIONAL, ctx).verdict
-    v12 = check_space(ctx.top, "S1/2", DEFINITIONAL, ctx).verdict
-    if not vl == v14 == v12:
-        return {"lambda": vl, "S1/4": v14, "S1/2": v12}
-    return None
+_register("lambda_eq_s14_s12_finite", "lambda-space, S1/4 and S1/2 coincide on finite spaces",
+          "space", True, _coincide("lambda", "S1/4", "S1/2"))
 
 
 @_theorem("class_space_t0_idempotent", "the class space is T0 and a fixed point of the construction")
@@ -664,12 +651,20 @@ def _check_roundtrip(ctx: SpaceContext) -> dict | None:
     return None
 
 
-@_theorem("recurrence_transfer", "recurrence transfers to the class space: preimage law and space law")
-def _check_transfer(ctx: SpaceContext) -> dict | None:
-    r = recurrence_transfer_check(ctx.top, ctx)
-    if not r.ok:
-        return r.witness
-    return None
+def _law(law: Callable) -> Callable:
+    """A check that returns the witness of law(*case) where the law fails, else None.
+
+    Each row passes a lambda, so that the law function is looked up at call
+    time and instrumentation that replaces it sees the call.
+    """
+    def run(*case) -> dict | None:
+        r = law(*case)
+        return None if r.ok else r.witness
+    return run
+
+
+_register("recurrence_transfer", "recurrence transfers to the class space: preimage law and space law",
+          "space", True, _law(lambda ctx: recurrence_transfer_check(ctx.top, ctx)))
 
 
 @_theorem("nonwandering_density", "every point is non-wandering iff big classes and recurrent classes are dense in the class space")
@@ -686,20 +681,10 @@ def _check_nonwandering(ctx: SpaceContext) -> dict | None:
     return None
 
 
-@_theorem("saddle_equivalences", "both saddle-condition triples are equivalent on every point and pair")
-def _check_saddle(ctx: SpaceContext) -> dict | None:
-    r = saddle_equivalences_check(ctx.top, ctx)
-    if not r.ok:
-        return r.witness
-    return None
-
-
-@_theorem("recurrent_excludes_hyperbolic", "a recurrent space has no hyperbolic-like points")
-def _check_exclusion(ctx: SpaceContext) -> dict | None:
-    r = recurrent_vs_hyperbolic_check(ctx.top, ctx)
-    if not r.ok:
-        return r.witness
-    return None
+_register("saddle_equivalences", "both saddle-condition triples are equivalent on every point and pair",
+          "space", True, _law(lambda ctx: saddle_equivalences_check(ctx.top, ctx)))
+_register("recurrent_excludes_hyperbolic", "a recurrent space has no hyperbolic-like points",
+          "space", True, _law(lambda ctx: recurrent_vs_hyperbolic_check(ctx.top, ctx)))
 
 
 @_theorem("hyperbolic_converse_probe",
@@ -763,47 +748,10 @@ def _check_exceptional(ctx: SpaceContext) -> dict | None:
     return None
 
 
-class PairCase:
-    """One ordered pair of the pair sweep: both summands and their union.
-
-    Each summand comes as its SpaceContext, which memoizes its verdicts, and
-    its closure table (closure_bits of every subset a, at index a); the pair
-    sweep shares both among all pairs of one call.  The union and its
-    context are built with the case and shared by all pair theorems.
-    """
-
-    def __init__(self, left: SpaceContext, right: SpaceContext,
-                 closures: tuple[tuple[int, ...], tuple[int, ...]]):
-        self.summands = (left, right)
-        self.left, self.right = left.top, right.top
-        self.closures = closures
-        self.union = disjoint_union([self.left, self.right])
-        self.ctx = SpaceContext(self.union)
-
-    def union_verdict(self, axiom: str, mode: str) -> bool:
-        return check_space(self.union, axiom, mode, self.ctx).verdict
-
-    def summand_verdict(self, side: int, axiom: str, mode: str) -> bool:
-        """Verdict on the left (side 0) or right (side 1) summand."""
-        ctx = self.summands[side]
-        return check_space(ctx.top, axiom, mode, ctx).verdict
-
-    def summand_closures(self, side: int) -> tuple[int, ...]:
-        """Closures of every subset of the left (side 0) or right (side 1) summand."""
-        return self.closures[side]
-
-
-def _closure_table(top: FiniteTopology) -> tuple[int, ...]:
-    """closure_bits of every subset of the carrier, indexed by the subset."""
-    return tuple(top.closure_bits(a) for a in range(1 << top.n))
-
-
 def _du_invariance(axiom: str) -> Callable:
-    def run(pair: PairCase) -> dict | None:
+    def run(left: SpaceContext, right: SpaceContext, union: SpaceContext) -> dict | None:
         for mode in (DEFINITIONAL, CHARACTERIZED):
-            vu = pair.union_verdict(axiom, mode)
-            vl = pair.summand_verdict(0, axiom, mode)
-            vr = pair.summand_verdict(1, axiom, mode)
+            vu, vl, vr = (check_space(ctx.top, axiom, mode, ctx).verdict for ctx in (union, left, right))
             if vu != (vl and vr):
                 return {"axiom": axiom, "mode": mode,
                         "union": vu, "left": vl, "right": vr}
@@ -818,24 +766,17 @@ for _tid, _axiom in (("du_tm1", "T-1"), ("du_t14", "T1/4"),
 
 
 @_theorem("du_closure_restriction", "closures in a disjoint union restrict to summand closures", scope="pair")
-def _check_du_closure(pair: PairCase) -> dict | None:
-    union = pair.union
-    for a, closure in enumerate(pair.summand_closures(0)):
-        if union.closure_bits(a) != closure:
-            return {"side": "left", "subset": sorted(bit_indices(a))}
-    shift = pair.left.n
-    for a, closure in enumerate(pair.summand_closures(1)):
-        if union.closure_bits(a << shift) != closure << shift:
-            return {"side": "right", "subset": sorted(bit_indices(a))}
+def _check_du_closure(left: SpaceContext, right: SpaceContext, union: SpaceContext) -> dict | None:
+    for side, summand, shift in (("left", left, 0), ("right", right, left.n)):
+        for a, closure in enumerate(summand.closure_t):
+            if union.top.closure_bits(a << shift) != closure << shift:
+                return {"side": side, "subset": sorted(bit_indices(a))}
     return None
 
 
-@_theorem("tau_f_containment", "saturated opens sit inside the topology iff saturated closures; containment forces a topology", scope="partition")
-def _check_tau_f(top: FiniteTopology, dec: Decomposition) -> dict | None:
-    r = lemma001_check(top, dec)
-    if not r.ok:
-        return r.witness
-    return None
+_register("tau_f_containment",
+          "saturated opens sit inside the topology iff saturated closures; containment forces a topology",
+          "partition", True, _law(lambda top, dec: lemma001_check(top, dec)))
 
 
 @_theorem("tau_f_quotient_correspondence", "when contained, the saturated family equals the quotient topology on blocks", scope="partition")
@@ -898,7 +839,8 @@ def _opens_doc(top: FiniteTopology) -> list[list[int]]:
     return [sorted(bit_indices(u)) for u in top.opens]
 
 
-def _space_cases(n: int, reps: _Classes) -> Iterator[tuple[int, tuple[SpaceContext]]]:
+def _space_cases(n: int, reps: Iterable[tuple[tuple[int, ...], int]]
+                 ) -> Iterator[tuple[int, tuple[SpaceContext]]]:
     for rows, size in reps:
         pre = Preorder(n, rows)
         yield size, (SpaceContext(alexandrov(pre), pre),)
@@ -908,7 +850,8 @@ def _space_payload(ctx: SpaceContext) -> dict:
     return {"n": ctx.n, "encoding": preorder_encoding(ctx.pre), "opens": _opens_doc(ctx.top)}
 
 
-def _pair_cases(classes: list[_Classes]) -> Iterator[tuple[int, tuple[PairCase]]]:
+def _pair_cases(classes: list[_Classes]
+                ) -> Iterator[tuple[int, tuple[SpaceContext, SpaceContext, SpaceContext]]]:
     """Ordered pairs of class representatives, classes[n] for each size n.
 
     Pairs come by combined size up to the last size given, then left size,
@@ -917,21 +860,20 @@ def _pair_cases(classes: list[_Classes]) -> Iterator[tuple[int, tuple[PairCase]]
     each case's union and its context with the case, so that no theorem's
     time includes them.
     """
-    pools = []
-    for n, reps in enumerate(classes):
-        tops = [alexandrov(Preorder(n, rows)) for rows, _ in reps]
-        pools.append([(SpaceContext(top), _closure_table(top), size)
-                      for top, (_, size) in zip(tops, reps)])
+    pools = [list(_space_cases(n, reps)) for n, reps in enumerate(classes)]
+    for pool in pools:
+        for _, (ctx,) in pool:
+            ctx.closure_t
     for total in range(len(classes)):
         for na in range(total + 1):
-            for left, left_closures, wa in pools[na]:
-                for right, right_closures, wb in pools[total - na]:
-                    yield wa * wb, (PairCase(left, right, (left_closures, right_closures)),)
+            for wa, (left,) in pools[na]:
+                for wb, (right,) in pools[total - na]:
+                    yield wa * wb, (left, right, SpaceContext(disjoint_union([left.top, right.top])))
 
 
-def _pair_payload(pair: PairCase) -> dict:
-    return {"n_left": pair.left.n, "left_opens": _opens_doc(pair.left),
-            "n_right": pair.right.n, "right_opens": _opens_doc(pair.right)}
+def _pair_payload(left: SpaceContext, right: SpaceContext, union: SpaceContext) -> dict:
+    return {"n_left": left.n, "left_opens": _opens_doc(left.top),
+            "n_right": right.n, "right_opens": _opens_doc(right.top)}
 
 
 def _partition_cases(classes: list[_Classes]
@@ -1028,8 +970,9 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
 
     Each route's point checker runs once per space and axiom: a space's
     SpaceContext memoizes its point masks and verdicts while its theorems
-    run, and the pair sweep keeps one context per summand for this call.
-    Nothing is cached across calls.
+    run, and the pair sweep builds one context per class representative,
+    with its closure table, for this call and shares it as a summand by all
+    pairs.  Nothing is cached across calls.
     """
     _check_size(n_max)
     chosen = _space_theorem_ids(ids)
@@ -1114,12 +1057,9 @@ def implication_matrix(n_max: int = 5, axioms: Iterable[str] | None = None) -> I
     counterexamples: dict = {}
     checked = 0
     for n in range(n_max + 1):
-        for rows, size in _preorder_classes(n):
-            pre = Preorder(n, rows)
-            top = alexandrov(pre)
-            ctx = SpaceContext(top, pre)
+        for size, (ctx,) in _space_cases(n, _preorder_classes(n)):
             checked += size
-            verdicts = {a: check_space(top, a, DEFINITIONAL, ctx).verdict for a in chosen}
+            verdicts = {a: check_space(ctx.top, a, DEFINITIONAL, ctx).verdict for a in chosen}
             payload = None
             for a in chosen:
                 if not verdicts[a]:

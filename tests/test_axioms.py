@@ -13,6 +13,7 @@ from finitetop.axioms import (
     check_space,
 )
 from finitetop.core import FiniteTopology, Preorder, alexandrov
+from finitetop.enumerate import enumerate_topologies
 
 from test_core import all_topologies_brute
 
@@ -156,11 +157,17 @@ class TestReports:
 
 class TestSpaceContext:
     def test_tables_match_operators(self):
-        for top in all_topologies_brute(3):
+        """The tables against the operators: brute-force spaces on 3 points,
+        every labeled space on at most 4, every class representative on 5."""
+        spaces = [*all_topologies_brute(3),
+                  *(top for n in range(5) for top in enumerate_topologies(n)),
+                  *enumerate_topologies(5, up_to_iso=True)]
+        assert len(spaces) == 29 + 390 + 139
+        for top in spaces:
             ctx = SpaceContext(top)
-            for a in range(1 << 3):
-                assert ctx.closure_t[a] == top.closure_bits(a)
-                assert ctx.kernel_t[a] == top.kernel_bits(a)
+            for a in range(1 << top.n):
+                assert ctx.closure_t[a] == top.closure_bits(a), (top, a)
+                assert ctx.kernel_t[a] == top.kernel_bits(a), (top, a)
 
     def test_accepts_precomputed_preorder(self):
         pre = SIERPINSKI.specialization()

@@ -217,6 +217,16 @@ class TestClassify:
             rc, out, err = run_cli(command, str(p))
             assert (rc, out) == (2, ""), command
             assert len(err.splitlines()) == 1 and "Traceback" not in err, command
+        # valid JSON but for one byte that is not UTF-8: stdin is decoded like a file
+        labels_doc = b'{"points":1,"opens":[[],[0]],"labels":["\xff"]}'
+        p.write_bytes(labels_doc)
+        for command in ("classify", "hasse"):
+            for source, data in ((str(p), None), ("-", labels_doc)):
+                proc = subprocess.run([sys.executable, "-m", "finitetop.cli", command, source],
+                                      input=data, capture_output=True)
+                assert (proc.returncode, proc.stdout) == (2, b""), (command, source)
+                err = proc.stderr.decode()
+                assert len(err.splitlines()) == 1 and "Traceback" not in err, (command, source)
 
     def test_deeply_nested_json_exit2(self):
         for command in ("classify", "hasse"):

@@ -9,16 +9,14 @@ import pytest
 
 from finitetop import cli
 from finitetop.axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
-from finitetop.core import Preorder, alexandrov, bit_indices
+from finitetop.core import Preorder, alexandrov, bit_indices, disjoint_union
 from finitetop.decomp import Decomposition, iter_partitions, tau_F
 from finitetop.enumerate import (
     _REGISTRY,
     MAX_POINTS,
     ImplicationMatrix,
-    PairCase,
     SizeTooLargeError,
     Theorem,
-    _closure_table,
     _pair_payload,
     _partition_payload,
     _preorder_classes,
@@ -256,22 +254,20 @@ def _shuffled(rng: random.Random, n: int) -> list[int]:
     return perm
 
 
-def _lone_pair(left, right) -> PairCase:
-    """A pair case outside any sweep, on summand contexts of its own."""
-    return PairCase(SpaceContext(left), SpaceContext(right),
-                    (_closure_table(left), _closure_table(right)))
+def _lone_pair(left, right) -> tuple[SpaceContext, SpaceContext, SpaceContext]:
+    """A pair case (left, right, union) outside any sweep, on contexts of its own."""
+    return SpaceContext(left), SpaceContext(right), SpaceContext(disjoint_union([left, right]))
 
 
 def _labeled_pair_cases(cap: int):
     """Every ordered labeled pair of combined size at most cap, each weighing 1."""
-    pools = [[(SpaceContext(top), _closure_table(top)) for top in enumerate_topologies(n)]
-             for n in range(cap + 1)]
+    pools = [[SpaceContext(top) for top in enumerate_topologies(n)] for n in range(cap + 1)]
     for total in range(cap + 1):
         for na in range(total + 1):
             nb = total - na
-            for left, left_closures in pools[na]:
-                for right, right_closures in pools[nb]:
-                    yield 1, (PairCase(left, right, (left_closures, right_closures)),)
+            for left in pools[na]:
+                for right in pools[nb]:
+                    yield 1, (left, right, SpaceContext(disjoint_union([left.top, right.top])))
 
 
 def _labeled_partition_cases(cap: int):
@@ -286,9 +282,9 @@ def _labeled_partition_cases(cap: int):
 # every real pair and partition theorem is verified at cap 4.  Each refutes
 # more than one case of its least size, so the sweep order decides its witness.
 
-def _neither_t1(pair: PairCase) -> dict | None:
-    if not pair.summand_verdict(0, "T1", DEFINITIONAL) and \
-            not pair.summand_verdict(1, "T1", DEFINITIONAL):
+def _neither_t1(left: SpaceContext, right: SpaceContext, union: SpaceContext) -> dict | None:
+    if not check_space(left.top, "T1", DEFINITIONAL, left).verdict and \
+            not check_space(right.top, "T1", DEFINITIONAL, right).verdict:
         return {"probe": "neither summand is T1"}
     return None
 
@@ -321,11 +317,10 @@ class TestRelabeling:
         axioms = ("T-1", "T1/4", "T1/3", "T1/2")
 
         def outcome(left: Preorder, right: Preorder):
-            pair = _lone_pair(alexandrov(left), alexandrov(right))
-            verdicts = [(pair.union_verdict(axiom, mode), pair.summand_verdict(0, axiom, mode),
-                         pair.summand_verdict(1, axiom, mode))
+            lctx, rctx, uctx = pair = _lone_pair(alexandrov(left), alexandrov(right))
+            verdicts = [tuple(check_space(ctx.top, axiom, mode, ctx).verdict for ctx in (uctx, lctx, rctx))
                         for axiom in axioms for mode in (DEFINITIONAL, CHARACTERIZED)]
-            return verdicts, [t.check(pair) is None for t in pair_theorems]
+            return verdicts, [t.check(*pair) is None for t in pair_theorems]
 
         rng = random.Random(2017)
         pres = [list(enumerate_preorders(n)) for n in range(5)]

@@ -27,11 +27,9 @@ from finitetop.dynamics import _classify, classify_space
 from finitetop.enumerate import (
     _MODE_THEOREMS,
     _REGISTRY,
-    PairCase,
-    _closure_table,
+    _pair_cases,
     _pointwise_chain,
     enumerate_preorders,
-    enumerate_topologies,
     theorems,
     verify_all,
 )
@@ -190,25 +188,25 @@ class TestPointMasks:
 
 class TestPairMemo:
     def test_pair_verdicts_match_fresh_evaluation(self):
+        """The sweep's pair cases, every labeled space its own class, against fresh spaces."""
         cap = 3
-        pools = [[(SpaceContext(top), _closure_table(top)) for top in enumerate_topologies(n)]
-                 for n in range(cap + 1)]
-        for na in range(cap + 1):
-            for nb in range(cap + 1 - na):
-                for left_ctx, left_closures in pools[na]:
-                    for right_ctx, right_closures in pools[nb]:
-                        left, right = left_ctx.top, right_ctx.top
-                        pair = PairCase(left_ctx, right_ctx, (left_closures, right_closures))
-                        union = disjoint_union([left, right])
-                        assert pair.union == union
-                        for axiom in ("T-1", "T1/4", "T1/3", "T1/2"):
-                            for mode in MODES:
-                                assert pair.union_verdict(axiom, mode) == \
-                                    check_space(union, axiom, mode).verdict
-                                assert pair.summand_verdict(0, axiom, mode) == \
-                                    check_space(left, axiom, mode).verdict
-                                assert pair.summand_verdict(1, axiom, mode) == \
-                                    check_space(right, axiom, mode).verdict
+        classes = [[(pre.up, 1) for pre in enumerate_preorders(n)] for n in range(cap + 1)]
+        cases = 0
+        for _, (left_ctx, right_ctx, union_ctx) in _pair_cases(classes):
+            cases += 1
+            left, right = left_ctx.top, right_ctx.top
+            union = disjoint_union([left, right])
+            assert union_ctx.top == union
+            for axiom in ("T-1", "T1/4", "T1/3", "T1/2"):
+                for mode in MODES:
+                    assert check_space(union, axiom, mode, union_ctx).verdict == \
+                        check_space(union, axiom, mode).verdict
+                    assert check_space(left, axiom, mode, left_ctx).verdict == \
+                        check_space(left, axiom, mode).verdict
+                    assert check_space(right, axiom, mode, right_ctx).verdict == \
+                        check_space(right, axiom, mode).verdict
+        assert cases == sum(len(classes[na]) * len(classes[nb])
+                            for na in range(cap + 1) for nb in range(cap + 1 - na))
 
     def test_pair_findings_independent_of_other_scopes(self):
         pair_ids = [t.id for t in theorems() if t.scope == "pair"]
