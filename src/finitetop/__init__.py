@@ -29,7 +29,6 @@ from .core import (
     MissingEmptyOrFullError,
     NotClosedUnderIntersectionError,
     NotClosedUnderUnionError,
-    PointSet,
     Preorder,
     TopologyError,
     alexandrov,
@@ -50,7 +49,6 @@ __all__ = [
     "NotClosedUnderIntersectionError",
     "NotClosedUnderUnionError",
     "NotPointLevelError",
-    "PointSet",
     "Preorder",
     "SpaceContext",
     "TopologyError",

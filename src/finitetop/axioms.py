@@ -24,10 +24,10 @@ from typing import Callable
 from .core import FiniteTopology, Preorder, bit_indices, class_poset
 from .order import (
     _down_closure,
-    _down_directed_mask,
     bottoms_mask,
     bouquet_root,
     heights,
+    is_down_directed,
     is_down_discrete,
     is_downward_forest,
     is_pre_chain,
@@ -44,6 +44,15 @@ class NotPointLevelError(ValueError):
 
 DEFINITIONAL = "definitional"
 CHARACTERIZED = "characterized"
+
+
+def _union_table(rows: tuple[int, ...]) -> list[int]:
+    """table[a] is the union of rows[x] over the points x of the bitmap a."""
+    table = [0] * (1 << len(rows))
+    for a in range(1, len(table)):
+        low = a & -a
+        table[a] = table[a ^ low] | rows[low.bit_length() - 1]
+    return table
 
 
 class SpaceContext:
@@ -104,21 +113,11 @@ class SpaceContext:
 
     @cached_property
     def closure_t(self) -> list[int]:
-        cl1 = self.closure1
-        table = [0] * (1 << self.n)
-        for a in range(1, 1 << self.n):
-            low = a & -a
-            table[a] = table[a ^ low] | cl1[low.bit_length() - 1]
-        return table
+        return _union_table(self.closure1)
 
     @cached_property
     def kernel_t(self) -> list[int]:
-        k1 = self.kernel1
-        table = [0] * (1 << self.n)
-        for a in range(1, 1 << self.n):
-            low = a & -a
-            table[a] = table[a ^ low] | k1[low.bit_length() - 1]
-        return table
+        return _union_table(self.kernel1)
 
     @cached_property
     def minimal(self) -> int:
@@ -472,7 +471,7 @@ def _c_cr(ctx: SpaceContext, x: int) -> bool:
 
 
 def _c_cn(ctx: SpaceContext, x: int) -> bool:
-    return _down_directed_mask(ctx.pre, ctx.down[x])
+    return is_down_directed(ctx.pre, ctx.down[x])
 
 
 def _c_sd(ctx: SpaceContext, x: int) -> bool:
@@ -686,7 +685,7 @@ def _c_sq_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
 
 
 def _c_nested_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
-    if is_pre_chain(ctx.pre):
+    if is_pre_chain(ctx.pre, ctx.full):
         return True, None
     return False, {"reason": "carrier is not a pre-chain"}
 

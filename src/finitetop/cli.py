@@ -31,7 +31,6 @@ from typing import Any
 from .axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
 from .core import (
     FiniteTopology,
-    PointSet,
     Preorder,
     TopologyError,
     alexandrov,
@@ -373,13 +372,7 @@ def _invalid_witness(exc: TopologyError) -> dict:
     witness = getattr(exc, "witness", None)
     doc: dict[str, Any] = {"error": type(exc).__name__, "message": str(exc)}
     if witness is not None:
-        rendered = []
-        for part in witness:
-            if isinstance(part, PointSet):
-                rendered.append(_set_list(part.bits))
-            else:
-                rendered.append(part)
-        doc["witness"] = rendered
+        doc["witness"] = [_set_list(part) for part in witness]
     return doc
 
 

@@ -14,7 +14,7 @@ Points are opaque ids 0..n-1; subsets are bitmaps over those ids.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Iterator
 
 
@@ -26,29 +26,24 @@ class MissingEmptyOrFullError(TopologyError):
     pass
 
 
+def _braces(bits: int) -> str:
+    return "{" + ",".join(map(str, bit_indices(bits))) + "}"
+
+
 class NotClosedUnderUnionError(TopologyError):
-    def __init__(self, witness: tuple[PointSet, PointSet]):
+    def __init__(self, witness: tuple[int, int]):
         self.witness = witness
         super().__init__(
-            f"opens {witness[0]} and {witness[1]} have a union outside the family"
+            f"opens {_braces(witness[0])} and {_braces(witness[1])} have a union outside the family"
         )
 
 
 class NotClosedUnderIntersectionError(TopologyError):
-    def __init__(self, witness: tuple[PointSet, PointSet]):
+    def __init__(self, witness: tuple[int, int]):
         self.witness = witness
         super().__init__(
-            f"opens {witness[0]} and {witness[1]} have an intersection outside the family"
+            f"opens {_braces(witness[0])} and {_braces(witness[1])} have an intersection outside the family"
         )
-
-
-def _bits_of(points: Iterable[int], universe_size: int) -> int:
-    bits = 0
-    for p in points:
-        if not 0 <= p < universe_size:
-            raise ValueError(f"point {p} outside universe of size {universe_size}")
-        bits |= 1 << p
-    return bits
 
 
 def bit_indices(bits: int) -> Iterator[int]:
@@ -59,82 +54,7 @@ def bit_indices(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True)
-class PointSet:
-    """A subset of an n-point universe, stored as a bitmap."""
-
-    bits: int
-    universe_size: int
-
-    def __post_init__(self) -> None:
-        if self.universe_size < 0:
-            raise ValueError("universe size must be nonnegative")
-        if not 0 <= self.bits < (1 << self.universe_size):
-            raise ValueError(f"bitmap {self.bits:#x} outside universe of size {self.universe_size}")
-
-    @classmethod
-    def empty(cls, universe_size: int) -> PointSet:
-        return cls(0, universe_size)
-
-    @classmethod
-    def full(cls, universe_size: int) -> PointSet:
-        return cls((1 << universe_size) - 1, universe_size)
-
-    @classmethod
-    def single(cls, point: int, universe_size: int) -> PointSet:
-        return cls(_bits_of((point,), universe_size), universe_size)
-
-    @classmethod
-    def from_points(cls, points: Iterable[int], universe_size: int) -> PointSet:
-        return cls(_bits_of(points, universe_size), universe_size)
-
-    def _check_universe(self, other: PointSet) -> None:
-        if self.universe_size != other.universe_size:
-            raise ValueError("point sets live in different universes")
-
-    def union(self, other: PointSet) -> PointSet:
-        self._check_universe(other)
-        return PointSet(self.bits | other.bits, self.universe_size)
-
-    def intersection(self, other: PointSet) -> PointSet:
-        self._check_universe(other)
-        return PointSet(self.bits & other.bits, self.universe_size)
-
-    def difference(self, other: PointSet) -> PointSet:
-        self._check_universe(other)
-        return PointSet(self.bits & ~other.bits, self.universe_size)
-
-    def complement(self) -> PointSet:
-        return PointSet(self.bits ^ (1 << self.universe_size) - 1, self.universe_size)
-
-    def issubset(self, other: PointSet) -> bool:
-        self._check_universe(other)
-        return self.bits & ~other.bits == 0
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    def __contains__(self, point: int) -> bool:
-        return 0 <= point < self.universe_size and self.bits >> point & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return bit_indices(self.bits)
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def points(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return "{" + ",".join(str(p) for p in self) + "}"
-
-
-def validate_topology(n: int, opens: Iterable[PointSet | int]) -> FiniteTopology:
+def validate_topology(n: int, opens: Iterable[int]) -> FiniteTopology:
     """Check a family of subsets and return the canonical topology value.
 
     The family must contain the empty set and the full set and be closed
@@ -147,23 +67,18 @@ def validate_topology(n: int, opens: Iterable[PointSet | int]) -> FiniteTopology
     full = (1 << n) - 1
     fam: set[int] = set()
     for u in opens:
-        if isinstance(u, PointSet):
-            if u.universe_size != n:
-                raise ValueError(f"open {u} has universe size {u.universe_size}, expected {n}")
-            fam.add(u.bits)
-        else:
-            if not 0 <= u <= full:
-                raise TopologyError(f"bitmap {u:#x} outside universe of size {n}")
-            fam.add(u)
+        if not 0 <= u <= full:
+            raise TopologyError(f"bitmap {u:#x} outside universe of size {n}")
+        fam.add(u)
     if 0 not in fam or full not in fam:
         raise MissingEmptyOrFullError("family must contain the empty set and the whole space")
     ordered = sorted(fam)
     for i, u in enumerate(ordered):
         for v in ordered[i + 1:]:
             if u | v not in fam:
-                raise NotClosedUnderUnionError((PointSet(u, n), PointSet(v, n)))
+                raise NotClosedUnderUnionError((u, v))
             if u & v not in fam:
-                raise NotClosedUnderIntersectionError((PointSet(u, n), PointSet(v, n)))
+                raise NotClosedUnderIntersectionError((u, v))
     return FiniteTopology(n, tuple(ordered))
 
 
@@ -196,24 +111,6 @@ class FiniteTopology:
     def closed_set(self) -> frozenset[int]:
         return frozenset(self.closed)
 
-    def open_sets(self) -> tuple[PointSet, ...]:
-        return tuple(PointSet(u, self.n) for u in self.opens)
-
-    def is_open(self, a: PointSet | int) -> bool:
-        bits = a.bits if isinstance(a, PointSet) else a
-        return bits in self.opens_set
-
-    def is_closed(self, a: PointSet | int) -> bool:
-        bits = a.bits if isinstance(a, PointSet) else a
-        return bits in self.closed_set
-
-    def _bits(self, a: PointSet | int) -> int:
-        if isinstance(a, PointSet):
-            if a.universe_size != self.n:
-                raise ValueError("point set universe does not match the space")
-            return a.bits
-        return a
-
     def closure_bits(self, a: int) -> int:
         """Smallest closed superset: intersection of all closed sets containing a."""
         acc = self.full_bits
@@ -238,32 +135,16 @@ class FiniteTopology:
                 acc |= u
         return acc
 
-    def closure(self, a: PointSet) -> PointSet:
-        return PointSet(self.closure_bits(self._bits(a)), self.n)
-
-    def kernel(self, a: PointSet) -> PointSet:
-        return PointSet(self.kernel_bits(self._bits(a)), self.n)
-
-    def interior(self, a: PointSet) -> PointSet:
-        return PointSet(self.interior_bits(self._bits(a)), self.n)
-
     def lambda_closure_bits(self, a: int) -> int:
+        """kernel(A) intersected with closure(A); fixed points are the lambda-closed sets."""
         return self.kernel_bits(a) & self.closure_bits(a)
 
-    def lambda_closure(self, a: PointSet) -> PointSet:
-        """kernel(A) intersected with closure(A); fixed points are the lambda-closed sets."""
-        return PointSet(self.lambda_closure_bits(self._bits(a)), self.n)
-
-    def is_lambda_closed(self, a: PointSet | int) -> bool:
-        bits = self._bits(a)
-        return self.lambda_closure_bits(bits) == bits
+    def is_lambda_closed(self, a: int) -> bool:
+        return self.lambda_closure_bits(a) == a
 
     def shell_bits(self, a: int) -> int:
-        return self.closure_bits(a) & ~a
-
-    def shell(self, a: PointSet) -> PointSet:
         """closure(A) minus A."""
-        return PointSet(self.shell_bits(self._bits(a)), self.n)
+        return self.closure_bits(a) & ~a
 
     @cached_property
     def point_closures(self) -> tuple[int, ...]:

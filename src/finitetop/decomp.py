@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .core import FiniteTopology, PointSet, bit_indices
+from .core import FiniteTopology, bit_indices
 
 
 @dataclass(frozen=True)
@@ -70,15 +70,6 @@ class Decomposition:
             if b & bits:
                 out |= b
         return out
-
-    def saturate(self, a: PointSet) -> PointSet:
-        if a.universe_size != self.n:
-            raise ValueError("universe size mismatch")
-        return PointSet(self.saturate_bits(a.bits), self.n)
-
-
-def saturate(dec: Decomposition, a: PointSet) -> PointSet:
-    return dec.saturate(a)
 
 
 def class_partition(top: FiniteTopology) -> Decomposition:
@@ -181,7 +172,7 @@ def quotient(top: FiniteTopology, dec: Decomposition) -> FiniteTopology:
         for i in range(k):
             if combo >> i & 1:
                 pre |= dec.blocks[i]
-        if top.is_open(pre):
+        if pre in top.opens_set:
             opens.append(combo)
     return FiniteTopology(k, tuple(sorted(opens)))
 

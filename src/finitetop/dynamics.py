@@ -7,8 +7,8 @@ specialization preorder and the open family of a single finite space; no
 actual group action is involved.
 
 Strictness conventions, fixed once for the whole module: the shell of a
-point drops only the point itself (strict_down/strict_up), the shell of a
-class drops the whole class, and intervals exclude endpoint classes except
+point drops only the point itself, as in down(x) - {x}, the shell of a
+class drops the whole class x^, and intervals exclude endpoint classes except
 that the half-open (x, y] keeps the class of y and the explicit "- {y}"
 drops only the point y.
 """
@@ -127,22 +127,6 @@ def _classify(ctx: SpaceContext) -> tuple[DynClass, ...]:
             hyperbolic_like=ni or sl,
         ))
     return tuple(out)
-
-
-def classify_point(top: FiniteTopology, x: int, ctx: SpaceContext | None = None) -> DynClass:
-    if ctx is None:
-        ctx = SpaceContext(top)
-    if not 0 <= x < top.n:
-        raise ValueError(f"point {x} outside universe of size {top.n}")
-    return classify_space(top, ctx)[x]
-
-
-def is_non_wandering(top: FiniteTopology, x: int, ctx: SpaceContext | None = None) -> bool:
-    if ctx is None:
-        ctx = SpaceContext(top)
-    if not 0 <= x < top.n:
-        raise ValueError(f"point {x} outside universe of size {top.n}")
-    return bool(_non_wandering_mask(ctx) >> x & 1)
 
 
 def is_anosov_type(top: FiniteTopology, ctx: SpaceContext | None = None) -> bool:

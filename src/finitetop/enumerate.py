@@ -55,7 +55,7 @@ from .dynamics import (
     recurrent_vs_hyperbolic_check,
     saddle_equivalences_check,
 )
-from .order import _down_closure, _pre_chain_mask, comparability_components
+from .order import _down_closure, comparability_components, is_pre_chain
 
 MAX_POINTS = 7
 
@@ -567,7 +567,7 @@ def _check_sq_sdelta(ctx: SpaceContext) -> dict | None:
     if not (sq_v and sdelta_v):
         return None
     for comp in comparability_components(ctx.pre):
-        if not _pre_chain_mask(ctx.pre, comp):
+        if not is_pre_chain(ctx.pre, comp):
             return {"component": sorted(bit_indices(comp))}
     return None
 

@@ -10,61 +10,13 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .core import PointSet, Preorder, bit_indices, class_poset
-
-
-def upset(pre: Preorder, x: int) -> PointSet:
-    return PointSet(pre.up[x], pre.n)
-
-
-def downset(pre: Preorder, x: int) -> PointSet:
-    return PointSet(pre.down[x], pre.n)
-
-
-def cls(pre: Preorder, x: int) -> PointSet:
-    return PointSet(pre.cls[x], pre.n)
-
-
-def strict_up(pre: Preorder, x: int) -> PointSet:
-    """up(x) minus the point x itself."""
-    return PointSet(pre.up[x] & ~(1 << x), pre.n)
-
-
-def strict_down(pre: Preorder, x: int) -> PointSet:
-    """down(x) minus the point x itself."""
-    return PointSet(pre.down[x] & ~(1 << x), pre.n)
-
-
-def class_strict_up(pre: Preorder, x: int) -> PointSet:
-    """up(x) minus the whole class of x."""
-    return PointSet(pre.up[x] & ~pre.cls[x], pre.n)
-
-
-def class_strict_down(pre: Preorder, x: int) -> PointSet:
-    """down(x) minus the whole class of x."""
-    return PointSet(pre.down[x] & ~pre.cls[x], pre.n)
-
-
-def is_minimal(pre: Preorder, x: int) -> bool:
-    return pre.down[x] == pre.cls[x]
-
-
-def is_maximal(pre: Preorder, x: int) -> bool:
-    return pre.up[x] == pre.cls[x]
+from .core import Preorder, bit_indices, class_poset
 
 
 def minimal_mask(pre: Preorder) -> int:
     m = 0
     for x in range(pre.n):
         if pre.down[x] == pre.cls[x]:
-            m |= 1 << x
-    return m
-
-
-def maximal_mask(pre: Preorder) -> int:
-    m = 0
-    for x in range(pre.n):
-        if pre.up[x] == pre.cls[x]:
             m |= 1 << x
     return m
 
@@ -126,7 +78,8 @@ def _down_closure(down: Sequence[int], bits: int) -> int:
     return closure
 
 
-def _pre_chain_mask(pre: Preorder, bits: int) -> bool:
+def is_pre_chain(pre: Preorder, bits: int) -> bool:
+    """Every pair of points in bits is comparable."""
     pts = list(bit_indices(bits))
     for i, a in enumerate(pts):
         ua = pre.up[a]
@@ -137,23 +90,18 @@ def _pre_chain_mask(pre: Preorder, bits: int) -> bool:
     return True
 
 
-def is_pre_chain(pre: Preorder, a: PointSet | None = None) -> bool:
-    """Every pair in the subset (default: everything) is comparable."""
-    bits = (1 << pre.n) - 1 if a is None else a.bits
-    return _pre_chain_mask(pre, bits)
-
-
 def is_downward_forest(pre: Preorder) -> bool:
     """The upset of every point is a pre-chain."""
-    return all(_pre_chain_mask(pre, pre.up[x]) for x in range(pre.n))
+    return all(is_pre_chain(pre, pre.up[x]) for x in range(pre.n))
 
 
 def is_upward_forest(pre: Preorder) -> bool:
     """The downset of every point is a pre-chain."""
-    return all(_pre_chain_mask(pre, pre.down[x]) for x in range(pre.n))
+    return all(is_pre_chain(pre, pre.down[x]) for x in range(pre.n))
 
 
-def _down_directed_mask(pre: Preorder, bits: int) -> bool:
+def is_down_directed(pre: Preorder, bits: int) -> bool:
+    """Every pair of points in bits has a common lower bound (anywhere in the carrier)."""
     pts = list(bit_indices(bits))
     for i, a in enumerate(pts):
         da = pre.down[a]
@@ -161,12 +109,6 @@ def _down_directed_mask(pre: Preorder, bits: int) -> bool:
             if da & pre.down[b] == 0:
                 return False
     return True
-
-
-def is_down_directed(pre: Preorder, a: PointSet | None = None) -> bool:
-    """Every pair in the subset has a common lower bound (anywhere in the carrier)."""
-    bits = (1 << pre.n) - 1 if a is None else a.bits
-    return _down_directed_mask(pre, bits)
 
 
 def is_down_discrete(pre: Preorder) -> bool:
@@ -185,22 +127,18 @@ def is_down_discrete(pre: Preorder) -> bool:
     return True
 
 
-def _convex_mask(pre: Preorder, bits: int) -> bool:
+def is_convex(pre: Preorder, bits: int) -> bool:
+    """bits equals the intersection of its upset and downset.
+
+    On a finite carrier these are exactly the lambda-closed subsets of the
+    Alexandrov topology.
+    """
     up_a = 0
     down_a = 0
     for x in bit_indices(bits):
         up_a |= pre.up[x]
         down_a |= pre.down[x]
     return up_a & down_a == bits
-
-
-def is_convex(pre: Preorder, a: PointSet) -> bool:
-    """A equals the intersection of its upset and downset.
-
-    On a finite carrier these are exactly the lambda-closed subsets of the
-    Alexandrov topology.
-    """
-    return _convex_mask(pre, a.bits)
 
 
 def min_s1_witness(pre: Preorder) -> tuple[int, int, int, int] | None:
@@ -238,10 +176,6 @@ def min_s1_witness(pre: Preorder) -> tuple[int, int, int, int] | None:
     return None
 
 
-def is_min_s1_free(pre: Preorder) -> bool:
-    return min_s1_witness(pre) is None
-
-
 def _delete_class(pre: Preorder, block: int) -> Preorder:
     keep = [x for x in range(pre.n) if not block >> x & 1]
     index = {x: i for i, x in enumerate(keep)}
@@ -271,7 +205,7 @@ def bouquet_root(pre: Preorder) -> int | None:
     return None
 
 
-def interval(pre: Preorder, x: int, y: int, kind: str = "closed") -> PointSet:
+def interval(pre: Preorder, x: int, y: int, kind: str = "closed") -> int:
     """Order interval between x and y; kind selects endpoint strictness.
 
     closed [x,y], half_open_left (x,y], half_open_right [x,y), open (x,y).
@@ -281,7 +215,7 @@ def interval(pre: Preorder, x: int, y: int, kind: str = "closed") -> PointSet:
         raise ValueError(f"unknown interval kind {kind!r}")
     lo = pre.up[x] if kind in ("closed", "half_open_right") else pre.up[x] & ~pre.cls[x]
     hi = pre.down[y] if kind in ("closed", "half_open_left") else pre.down[y] & ~pre.cls[y]
-    return PointSet(lo & hi, pre.n)
+    return lo & hi
 
 
 def comparability_components(pre: Preorder) -> tuple[int, ...]:

@@ -129,12 +129,18 @@ class TestClassify:
         assert "MissingEmptyOrFull" in err
 
     def test_union_witness_on_stderr(self):
-        bad = {"points": 3, "opens": [[], [0], [1], [0, 1, 2]]}
-        rc, _, err = run_cli("classify", stdin=json.dumps(bad))
-        assert rc == 3
-        witness = json.loads(err)
-        assert witness["error"] == "NotClosedUnderUnionError"
-        assert sorted(map(tuple, witness["witness"])) == [(0,), (1,)]
+        bad = '{"points":3,"opens":[[],[0],[1],[0,1,2]]}'
+        rc, out, err = run_cli("classify", "-", stdin=bad)
+        assert (rc, out) == (3, "")
+        assert err == ('{"error": "NotClosedUnderUnionError", "message": "opens {0} and {1} '
+                       'have a union outside the family", "witness": [[0], [1]]}\n')
+
+    def test_intersection_witness_on_stderr(self):
+        bad = '{"points":3,"opens":[[],[0,1],[1,2],[0,1,2]]}'
+        rc, out, err = run_cli("classify", "-", stdin=bad)
+        assert (rc, out) == (3, "")
+        assert err == ('{"error": "NotClosedUnderIntersectionError", "message": "opens {0,1} and '
+                       '{1,2} have an intersection outside the family", "witness": [[0, 1], [1, 2]]}\n')
 
     def test_parse_error_exit2(self):
         rc, _, _ = run_cli("classify", stdin="{not json")

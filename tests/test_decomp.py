@@ -2,14 +2,13 @@ from __future__ import annotations
 
 import pytest
 
-from finitetop.core import FiniteTopology, PointSet, bit_indices
+from finitetop.core import FiniteTopology, bit_indices
 from finitetop.decomp import (
     Decomposition,
     class_partition,
     iter_partitions,
     lemma001_check,
     quotient,
-    saturate,
     tau_F,
 )
 
@@ -46,8 +45,7 @@ class TestDecomposition:
     def test_saturate(self):
         assert CROSSING.saturate_bits(0b00001) == 0b00101
         assert CROSSING.saturate_bits(0b00010) == 0b10010
-        got = saturate(CROSSING, PointSet(0b01000, 5))
-        assert got.bits == 0b01000
+        assert CROSSING.saturate_bits(0b01000) == 0b01000
 
 
 class TestTauF:

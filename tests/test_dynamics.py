@@ -4,10 +4,8 @@ from finitetop.axioms import CHARACTERIZED, DEFINITIONAL, SpaceContext, check_po
 from finitetop.core import FiniteTopology, Preorder, alexandrov
 from finitetop.dynamics import (
     DynClass,
-    classify_point,
     classify_space,
     is_anosov_type,
-    is_non_wandering,
     recurrence_transfer_check,
     recurrent_mask,
     recurrent_vs_hyperbolic_check,
@@ -74,13 +72,6 @@ class TestSierpinski:
 
 
 class TestConsistency:
-    def test_classify_point_matches_space(self):
-        for top in all_topologies_brute(3):
-            flags = classify_space(top)
-            for x in range(top.n):
-                assert classify_point(top, x) == flags[x]
-                assert is_non_wandering(top, x) == flags[x].non_wandering
-
     def test_recurrent_agrees_with_axiom(self):
         for top in all_topologies_brute(3):
             ctx = SpaceContext(top)

@@ -2,12 +2,10 @@ from __future__ import annotations
 
 import pytest
 
-from finitetop.core import FiniteTopology, PointSet, Preorder, alexandrov
+from finitetop.core import Preorder, alexandrov
 from finitetop.order import (
     bottoms_mask,
     bouquet_root,
-    class_strict_down,
-    class_strict_up,
     comparability_components,
     heights,
     interval,
@@ -15,16 +13,10 @@ from finitetop.order import (
     is_down_directed,
     is_down_discrete,
     is_downward_forest,
-    is_maximal,
-    is_min_s1_free,
-    is_minimal,
     is_pre_chain,
     is_upward_forest,
-    maximal_mask,
     min_s1_witness,
     minimal_mask,
-    strict_down,
-    strict_up,
     tops_mask,
 )
 
@@ -37,17 +29,18 @@ PAIR_CLASS = Preorder.from_pairs(3, [(0, 1), (1, 0), (0, 2)])  # {0,1} < {2}
 
 class TestBasics:
     def test_strict_vs_class_strict(self):
-        assert strict_up(PAIR_CLASS, 0).bits == 0b110
-        assert class_strict_up(PAIR_CLASS, 0).bits == 0b100
-        assert strict_down(PAIR_CLASS, 2).bits == 0b011
-        assert class_strict_down(PAIR_CLASS, 2).bits == 0b011
+        up, down, cls = PAIR_CLASS.up, PAIR_CLASS.down, PAIR_CLASS.cls
+        assert up[0] & ~(1 << 0) == 0b110
+        assert up[0] & ~cls[0] == 0b100
+        assert down[2] & ~(1 << 2) == 0b011
+        assert down[2] & ~cls[2] == 0b011
 
     def test_minimal_maximal(self):
-        assert is_minimal(PAIR_CLASS, 0) and is_minimal(PAIR_CLASS, 1)
-        assert not is_minimal(PAIR_CLASS, 2)
-        assert is_maximal(PAIR_CLASS, 2)
+        up, down, cls = PAIR_CLASS.up, PAIR_CLASS.down, PAIR_CLASS.cls
+        assert down[0] == cls[0] and down[1] == cls[1]
+        assert down[2] != cls[2]
+        assert up[2] == cls[2]
         assert minimal_mask(PAIR_CLASS) == 0b011
-        assert maximal_mask(PAIR_CLASS) == 0b100
 
     def test_tops_bottoms(self):
         assert tops_mask(CHAIN3) == 0b100
@@ -79,10 +72,10 @@ class TestHeights:
 
 class TestShapes:
     def test_pre_chain(self):
-        assert is_pre_chain(CHAIN3)
-        assert not is_pre_chain(VEE)
-        assert is_pre_chain(VEE, PointSet(0b011, 3))
-        assert is_pre_chain(PAIR_CLASS)
+        assert is_pre_chain(CHAIN3, 0b111)
+        assert not is_pre_chain(VEE, 0b111)
+        assert is_pre_chain(VEE, 0b011)
+        assert is_pre_chain(PAIR_CLASS, 0b111)
 
     def test_forests(self):
         # branching upward from the bottom of the vee means downsets stay
@@ -93,8 +86,8 @@ class TestShapes:
         assert not is_downward_forest(MIN_S1) and not is_upward_forest(MIN_S1)
 
     def test_down_directed(self):
-        assert is_down_directed(VEE)
-        assert not is_down_directed(WEDGE, PointSet(0b011, 3))
+        assert is_down_directed(VEE, 0b111)
+        assert not is_down_directed(WEDGE, 0b011)
 
     def test_down_discrete(self):
         assert is_down_discrete(CHAIN3)
@@ -106,25 +99,24 @@ class TestShapes:
 
 class TestConvexity:
     def test_examples(self):
-        assert is_convex(CHAIN3, PointSet(0b010, 3))
-        assert is_convex(CHAIN3, PointSet(0b011, 3))
-        assert not is_convex(CHAIN3, PointSet(0b101, 3))
+        assert is_convex(CHAIN3, 0b010)
+        assert is_convex(CHAIN3, 0b011)
+        assert not is_convex(CHAIN3, 0b101)
 
     def test_matches_lambda_closed(self):
         for pre in (CHAIN3, VEE, WEDGE, MIN_S1, PAIR_CLASS):
             top = alexandrov(pre)
             for a in range(1 << pre.n):
-                assert is_convex(pre, PointSet(a, pre.n)) == top.is_lambda_closed(a)
+                assert is_convex(pre, a) == top.is_lambda_closed(a)
 
 
 class TestMinS1:
     def test_witness_found(self):
         assert min_s1_witness(MIN_S1) == (0, 1, 2, 3)
-        assert not is_min_s1_free(MIN_S1)
 
     def test_free_cases(self):
         for pre in (CHAIN3, VEE, WEDGE, PAIR_CLASS):
-            assert is_min_s1_free(pre)
+            assert min_s1_witness(pre) is None
 
     def test_ignores_extra_relations(self):
         # a diamond with bottom is not the pattern: the bottom relates to all
@@ -156,14 +148,14 @@ class TestBouquet:
 
 class TestIntervals:
     def test_kinds(self):
-        assert interval(CHAIN3, 0, 2, "closed").bits == 0b111
-        assert interval(CHAIN3, 0, 2, "half_open_left").bits == 0b110
-        assert interval(CHAIN3, 0, 2, "half_open_right").bits == 0b011
-        assert interval(CHAIN3, 0, 2, "open").bits == 0b010
+        assert interval(CHAIN3, 0, 2, "closed") == 0b111
+        assert interval(CHAIN3, 0, 2, "half_open_left") == 0b110
+        assert interval(CHAIN3, 0, 2, "half_open_right") == 0b011
+        assert interval(CHAIN3, 0, 2, "open") == 0b010
 
     def test_class_strict_endpoints(self):
-        assert interval(PAIR_CLASS, 0, 2, "open").bits == 0
-        assert interval(PAIR_CLASS, 0, 2, "half_open_left").bits == 0b100
+        assert interval(PAIR_CLASS, 0, 2, "open") == 0
+        assert interval(PAIR_CLASS, 0, 2, "half_open_left") == 0b100
 
     def test_bad_kind(self):
         with pytest.raises(ValueError):
