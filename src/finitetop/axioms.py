@@ -6,7 +6,8 @@ sets), and a characterized checker that consults only the specialization
 preorder (rows, classes, heights, forest structure).  On finite spaces the
 two must agree; the theorem harness proves that exhaustively for small
 carriers, so a disagreement is always a reportable bug or a genuine refutation
-of a characterization.
+of a characterization.  A space checker returns None where the axiom holds
+and its witness dict where it fails.
 
 Naming: T-axioms are the classical point separation properties, C-axioms
 constrain the derived set of a point, S-axioms are the T-axioms evaluated on
@@ -309,28 +310,25 @@ _d_sys = _via_classes(_d_tys)
 # ---------------------------------------------------------------------------
 # definitional space checks (family side)
 
-def _d_t13_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _d_t13_space(ctx: SpaceContext) -> dict | None:
     # every subset of a finite space is compact, so quantify over all of them
     kt, ct = ctx.kernel_t, ctx.closure_t
     for a in range(1 << ctx.n):
         if kt[a] & ct[a] != a:
-            return False, {"subset": sorted(bit_indices(a))}
-    return True, None
+            return {"subset": sorted(bit_indices(a))}
+    return None
 
 
-def _d_s13_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
-    qctx, _ = ctx.class_ctx
-    ok, wit = _d_t13_space(qctx)
-    if ok:
-        return True, None
-    return False, {"class_subset": wit["subset"]}
+def _d_s13_space(ctx: SpaceContext) -> dict | None:
+    wit = _d_t13_space(ctx.class_ctx[0])
+    return None if wit is None else {"class_subset": wit["subset"]}
 
 
-def _d_syy_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _d_syy_space(ctx: SpaceContext) -> dict | None:
     # empty carrier convention: every axiom holds vacuously, so the missing
     # witness point is forgiven here
     if ctx.n == 0:
-        return True, None
+        return None
     reps = sorted((m & -m).bit_length() - 1 for m in set(ctx.cls_def))
     failures = []
     for p in reps:
@@ -349,12 +347,12 @@ def _d_syy_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
             if bad:
                 break
         if bad is None:
-            return True, None
+            return None
         failures.append(bad)
-    return False, {"candidates": failures}
+    return {"candidates": failures}
 
 
-def _d_sq_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _d_sq_space(ctx: SpaceContext) -> dict | None:
     # x in U-V and y in V-U for some opens U, V iff neither kernel holds the
     # other point; the closures must then miss each other
     for x in range(ctx.n):
@@ -363,52 +361,52 @@ def _d_sq_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
             if kx >> y & 1 or ctx.kernel1[y] >> x & 1:
                 continue
             if cx & ctx.closure1[y]:
-                return False, {"x": x, "y": y}
-    return True, None
+                return {"x": x, "y": y}
+    return None
 
 
-def _d_nested_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _d_nested_space(ctx: SpaceContext) -> dict | None:
     opens = ctx.top.opens
     for i, u in enumerate(opens):
         for v in opens[i + 1:]:
             if u & ~v and v & ~u:
-                return False, {"opens": [sorted(bit_indices(u)), sorted(bit_indices(v))]}
-    return True, None
+                return {"opens": [sorted(bit_indices(u)), sorted(bit_indices(v))]}
+    return None
 
 
-def _d_wr0_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _d_wr0_space(ctx: SpaceContext) -> dict | None:
     acc = ctx.full
     for x in range(ctx.n):
         acc &= ctx.closure1[x]
     if acc == 0:
-        return True, None
-    return False, {"points": sorted(bit_indices(acc))}
+        return None
+    return {"points": sorted(bit_indices(acc))}
 
 
-def _d_wc0_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _d_wc0_space(ctx: SpaceContext) -> dict | None:
     acc = ctx.full
     for x in range(ctx.n):
         acc &= ctx.kernel1[x]
     if acc == 0:
-        return True, None
-    return False, {"points": sorted(bit_indices(acc))}
+        return None
+    return {"points": sorted(bit_indices(acc))}
 
 
-def _d_lambda_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _d_lambda_space(ctx: SpaceContext) -> dict | None:
     kt, ct = ctx.kernel_t, ctx.closure_t
     lam = [a for a in range(1 << ctx.n) if kt[a] & ct[a] == a]
     for i, a in enumerate(lam):
         for b in lam[i + 1:]:
             u = a | b
             if kt[u] & ct[u] != u:
-                return False, {"sets": [sorted(bit_indices(a)), sorted(bit_indices(b))]}
-    return True, None
+                return {"sets": [sorted(bit_indices(a)), sorted(bit_indices(b))]}
+    return None
 
 
-def _d_true_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _d_true_space(ctx: SpaceContext) -> dict | None:
     # finite spaces satisfy the descending chain condition and have only
     # finite subsets, so the Artinian and anti-compact properties always hold
-    return True, None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -562,22 +560,22 @@ def _all_classes_trivial(ctx: SpaceContext) -> bool:
     return all(ctx.cls[x] == 1 << x for x in range(ctx.n))
 
 
-def _c_t14_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_t14_space(ctx: SpaceContext) -> dict | None:
     if not _all_classes_trivial(ctx):
-        return False, {"reason": "not T0"}
+        return {"reason": "not T0"}
     if ctx.ht > 1:
-        return False, {"reason": "height", "height": ctx.ht}
-    return True, None
+        return {"reason": "height", "height": ctx.ht}
+    return None
 
 
-def _c_t12_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
-    ok, wit = _c_t14_space(ctx)
-    if not ok:
-        return ok, wit
+def _c_t12_space(ctx: SpaceContext) -> dict | None:
+    wit = _c_t14_space(ctx)
+    if wit is not None:
+        return wit
     for x in range(ctx.n):
         if ctx.heights_pp[x] == 1 and ctx.up[x] != ctx.cls[x]:
-            return False, {"reason": "height-1 point not open", "point": x}
-    return True, None
+            return {"reason": "height-1 point not open", "point": x}
+    return None
 
 
 def _fd_form_holds(down: tuple[int, ...], n: int) -> int | None:
@@ -594,117 +592,117 @@ def _fd_form_holds(down: tuple[int, ...], n: int) -> int | None:
     return None
 
 
-def _c_t13_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_t13_space(ctx: SpaceContext) -> dict | None:
     bad = _fd_form_holds(ctx.down, ctx.n)
     if bad is None:
-        return True, None
-    return False, {"subset": sorted(bit_indices(bad))}
+        return None
+    return {"subset": sorted(bit_indices(bad))}
 
 
-def _c_s13_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_s13_space(ctx: SpaceContext) -> dict | None:
     qpre = class_poset(ctx.pre).as_preorder()
     bad = _fd_form_holds(qpre.down, qpre.n)
     if bad is None:
-        return True, None
-    return False, {"class_subset": sorted(bit_indices(bad))}
+        return None
+    return {"class_subset": sorted(bit_indices(bad))}
 
 
-def _c_tys_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_tys_space(ctx: SpaceContext) -> dict | None:
     if not _all_classes_trivial(ctx):
-        return False, {"reason": "not T0"}
+        return {"reason": "not T0"}
     if ctx.ht > 1:
-        return False, {"reason": "height", "height": ctx.ht}
+        return {"reason": "height", "height": ctx.ht}
     if not is_downward_forest(ctx.pre):
-        return False, {"reason": "not a downward forest"}
-    return True, None
+        return {"reason": "not a downward forest"}
+    return None
 
 
-def _c_s14_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_s14_space(ctx: SpaceContext) -> dict | None:
     if ctx.ht > 1:
-        return False, {"height": ctx.ht}
-    return True, None
+        return {"height": ctx.ht}
+    return None
 
 
-def _c_s12_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_s12_space(ctx: SpaceContext) -> dict | None:
     if ctx.ht > 1:
-        return False, {"height": ctx.ht}
+        return {"height": ctx.ht}
     for x in range(ctx.n):
         if ctx.heights_pp[x] == 1 and ctx.up[x] != ctx.cls[x]:
-            return False, {"reason": "height-1 class not open", "point": x}
-    return True, None
+            return {"reason": "height-1 class not open", "point": x}
+    return None
 
 
-def _c_sy_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_sy_space(ctx: SpaceContext) -> dict | None:
     if ctx.ht > 1:
-        return False, {"height": ctx.ht}
+        return {"height": ctx.ht}
     wit = min_s1_witness(ctx.pre)
     if wit is not None:
-        return False, {"pattern": list(wit)}
-    return True, None
+        return {"pattern": list(wit)}
+    return None
 
 
-def _c_sys_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_sys_space(ctx: SpaceContext) -> dict | None:
     if ctx.ht > 1:
-        return False, {"height": ctx.ht}
+        return {"height": ctx.ht}
     if not is_downward_forest(ctx.pre):
-        return False, {"reason": "not a downward forest"}
-    return True, None
+        return {"reason": "not a downward forest"}
+    return None
 
 
-def _c_syy_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_syy_space(ctx: SpaceContext) -> dict | None:
     if ctx.n == 0:
-        return True, None
+        return None
     if ctx.ht > 1:
-        return False, {"height": ctx.ht}
+        return {"height": ctx.ht}
     root = bouquet_root(ctx.pre)
     if root is None:
-        return False, {"reason": "no minimal class whose deletion leaves a downward forest"}
-    return True, None
+        return {"reason": "no minimal class whose deletion leaves a downward forest"}
+    return None
 
 
-def _c_ssd_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_ssd_space(ctx: SpaceContext) -> dict | None:
     if not is_upward_forest(ctx.pre):
-        return False, {"reason": "not an upward forest"}
+        return {"reason": "not an upward forest"}
     if ctx.ht > 1:
-        return False, {"height": ctx.ht}
-    return True, None
+        return {"height": ctx.ht}
+    return None
 
 
-def _c_sdelta_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_sdelta_space(ctx: SpaceContext) -> dict | None:
     if not is_upward_forest(ctx.pre):
-        return False, {"reason": "not an upward forest"}
+        return {"reason": "not an upward forest"}
     if not is_down_discrete(ctx.pre):
-        return False, {"reason": "not down-discrete"}
-    return True, None
+        return {"reason": "not down-discrete"}
+    return None
 
 
-def _c_sq_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_sq_space(ctx: SpaceContext) -> dict | None:
     if is_downward_forest(ctx.pre):
-        return True, None
-    return False, {"reason": "not a downward forest"}
+        return None
+    return {"reason": "not a downward forest"}
 
 
-def _c_nested_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_nested_space(ctx: SpaceContext) -> dict | None:
     if is_pre_chain(ctx.pre, ctx.full):
-        return True, None
-    return False, {"reason": "carrier is not a pre-chain"}
+        return None
+    return {"reason": "carrier is not a pre-chain"}
 
 
-def _c_wr0_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_wr0_space(ctx: SpaceContext) -> dict | None:
     bottoms = bottoms_mask(ctx.pre)
     if bottoms == 0:
-        return True, None
-    return False, {"bottom": (bottoms & -bottoms).bit_length() - 1}
+        return None
+    return {"bottom": (bottoms & -bottoms).bit_length() - 1}
 
 
-def _c_wc0_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_wc0_space(ctx: SpaceContext) -> dict | None:
     tops = tops_mask(ctx.pre)
     if tops == 0:
-        return True, None
-    return False, {"top": (tops & -tops).bit_length() - 1}
+        return None
+    return {"top": (tops & -tops).bit_length() - 1}
 
 
-def _c_lambda_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
+def _c_lambda_space(ctx: SpaceContext) -> dict | None:
     minimal = ctx.minimal
     up, down = ctx.up, ctx.down
     for a in range(1 << ctx.n):
@@ -717,11 +715,11 @@ def _c_lambda_space(ctx: SpaceContext) -> tuple[bool, dict | None]:
             continue
         shell = down_a & ~a
         if shell & ~minimal:
-            return False, {
+            return {
                 "set": sorted(bit_indices(a)),
                 "shell": sorted(bit_indices(shell)),
             }
-    return True, None
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -838,14 +836,14 @@ def _checkers(spec: AxiomSpec, mode: str) -> tuple[Callable | None, Callable | N
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _space_eval(ctx: SpaceContext, spec: AxiomSpec, mode: str) -> tuple[bool, dict | None]:
+def _space_eval(ctx: SpaceContext, spec: AxiomSpec, mode: str) -> dict | None:
     space = _checkers(spec, mode)[0]
     if space is not None:
         return space(ctx)
     missing = ctx.full & ~point_mask(ctx.top, spec.id, mode, ctx)
     if missing:
-        return False, {"point": (missing & -missing).bit_length() - 1}
-    return True, None
+        return {"point": (missing & -missing).bit_length() - 1}
+    return None
 
 
 def check_space(top: FiniteTopology, axiom: str, mode: str = DEFINITIONAL,
@@ -862,8 +860,8 @@ def check_space(top: FiniteTopology, axiom: str, mode: str = DEFINITIONAL,
     key = (axiom, mode)
     report = ctx.reports.get(key)
     if report is None:
-        verdict, witness = _space_eval(ctx, _resolve(axiom), mode)
-        report = ctx.reports[key] = AxiomReport(axiom, mode, verdict, witness)
+        witness = _space_eval(ctx, _resolve(axiom), mode)
+        report = ctx.reports[key] = AxiomReport(axiom, mode, witness is None, witness)
     return report
 
 

@@ -135,17 +135,6 @@ class FiniteTopology:
                 acc |= u
         return acc
 
-    def lambda_closure_bits(self, a: int) -> int:
-        """kernel(A) intersected with closure(A); fixed points are the lambda-closed sets."""
-        return self.kernel_bits(a) & self.closure_bits(a)
-
-    def is_lambda_closed(self, a: int) -> bool:
-        return self.lambda_closure_bits(a) == a
-
-    def shell_bits(self, a: int) -> int:
-        """closure(A) minus A."""
-        return self.closure_bits(a) & ~a
-
     @cached_property
     def point_closures(self) -> tuple[int, ...]:
         return tuple(self.closure_bits(1 << x) for x in range(self.n))
@@ -253,9 +242,6 @@ class Preorder:
                     up[x] = acc
                     changed = True
         return cls(n, tuple(up))
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.up[x] >> y & 1 == 1
 
     @cached_property
     def down(self) -> tuple[int, ...]:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .core import FiniteTopology, bit_indices
 
@@ -46,16 +46,6 @@ class Decomposition:
         ordered = tuple(sorted(self.blocks, key=lambda b: b & -b))
         object.__setattr__(self, "blocks", ordered)
 
-    @classmethod
-    def from_blocks(cls, n: int, blocks: Iterable[Iterable[int]]) -> Decomposition:
-        masks = []
-        for block in blocks:
-            m = 0
-            for p in block:
-                m |= 1 << p
-            masks.append(m)
-        return cls(n, tuple(masks))
-
     @cached_property
     def block_of(self) -> tuple[int, ...]:
         out = [0] * self.n
@@ -70,11 +60,6 @@ class Decomposition:
             if b & bits:
                 out |= b
         return out
-
-
-def class_partition(top: FiniteTopology) -> Decomposition:
-    """The partition into closure-equality classes."""
-    return Decomposition(top.n, tuple(sorted(set(top.point_classes), key=lambda b: b & -b)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,28 +98,17 @@ def tau_F(top: FiniteTopology, dec: Decomposition) -> TauFResult:
     return TauFResult(family, True, None)
 
 
-@dataclass(frozen=True, eq=False)
-class ContainmentResult:
-    """Outcome of the containment criterion for tau_F."""
-    tau_f_contained: bool
-    closures_saturated: bool
-    equivalence_ok: bool
-    topology_when_contained_ok: bool
-    ok: bool
-    witness: dict | None
-
-
-def lemma001_check(top: FiniteTopology, dec: Decomposition) -> ContainmentResult:
+def lemma001_check(top: FiniteTopology, dec: Decomposition) -> dict | None:
     """Verify tau_F containment iff saturated closures, on one (space, partition).
 
     Two facts are replayed: tau_F is contained in the topology exactly when
     the closure of every saturated subset is saturated, and containment
-    forces tau_F to be a topology.
+    forces tau_F to be a topology.  Returns None when both hold, else the
+    witness of the first that fails.
     """
     result = tau_F(top, dec)
     contained = all(s in top.opens_set for s in result.family)
 
-    closures_ok = True
     closure_witness = None
     k = len(dec.blocks)
     for combo in range(1 << k):
@@ -144,21 +118,17 @@ def lemma001_check(top: FiniteTopology, dec: Decomposition) -> ContainmentResult
                 sat |= dec.blocks[i]
         cl = top.closure_bits(sat)
         if dec.saturate_bits(cl) != cl:
-            closures_ok = False
             closure_witness = {"saturated_set": sorted(bit_indices(sat)),
                                "closure": sorted(bit_indices(cl))}
             break
 
-    equivalence_ok = contained == closures_ok
-    topology_ok = not contained or result.is_topology
-    ok = equivalence_ok and topology_ok
-    witness = None
-    if not equivalence_ok:
-        witness = {"tau_f_contained": contained, "closures_saturated": closures_ok,
-                   "closure_witness": closure_witness}
-    elif not topology_ok:
-        witness = {"tau_f_contained": True, "intersection_witness": result.witness}
-    return ContainmentResult(contained, closures_ok, equivalence_ok, topology_ok, ok, witness)
+    closures_ok = closure_witness is None
+    if contained != closures_ok:
+        return {"tau_f_contained": contained, "closures_saturated": closures_ok,
+                "closure_witness": closure_witness}
+    if contained and not result.is_topology:
+        return {"tau_f_contained": True, "intersection_witness": result.witness}
+    return None
 
 
 def quotient(top: FiniteTopology, dec: Decomposition) -> FiniteTopology:

@@ -141,22 +141,14 @@ def is_anosov_type(top: FiniteTopology, ctx: SpaceContext | None = None) -> bool
     return any(ctx.down[x] == ctx.full for x in range(ctx.n))
 
 
-@dataclass(frozen=True, eq=False)
-class TransferResult:
-    """Outcome of the recurrence transfer laws between a space and its class space."""
-    ok: bool
-    set_equality_ok: bool
-    space_equivalence_ok: bool
-    witness: dict | None
-
-
-def recurrence_transfer_check(top: FiniteTopology, ctx: SpaceContext | None = None) -> TransferResult:
+def recurrence_transfer_check(top: FiniteTopology, ctx: SpaceContext | None = None) -> dict | None:
     """Check both recurrence transfer laws against the class space.
 
     Set law: the preimage of (non-singleton classes union recurrent classes)
     is exactly the recurrent set of the space.  Space law: every point is
     recurrent iff the class of every singleton-class point is recurrent in
-    the class space.
+    the class space.  Returns None when both hold, else the witness of the
+    first law that fails, the set law first.
     """
     if ctx is None:
         ctx = SpaceContext(top)
@@ -170,13 +162,11 @@ def recurrence_transfer_check(top: FiniteTopology, ctx: SpaceContext | None = No
         b = mapping[x]
         if class_sizes[b] > 1 or qr >> b & 1:
             preimage |= 1 << x
-    set_ok = preimage == r
-    set_witness = None
-    if not set_ok:
+    if preimage != r:
         diff = preimage ^ r
-        set_witness = {"point": (diff & -diff).bit_length() - 1,
-                       "preimage": sorted(bit_indices(preimage)),
-                       "recurrent": sorted(bit_indices(r))}
+        return {"point": (diff & -diff).bit_length() - 1,
+                "preimage": sorted(bit_indices(preimage)),
+                "recurrent": sorted(bit_indices(r))}
 
     space_recurrent = r == ctx.full
     t0_classes_recurrent = all(
@@ -184,31 +174,21 @@ def recurrence_transfer_check(top: FiniteTopology, ctx: SpaceContext | None = No
         for x in range(ctx.n)
         if class_sizes[mapping[x]] == 1
     )
-    space_ok = space_recurrent == t0_classes_recurrent
-    space_witness = None
-    if not space_ok:
-        space_witness = {"space_recurrent": space_recurrent,
-                         "t0_classes_recurrent": t0_classes_recurrent}
-
-    ok = set_ok and space_ok
-    return TransferResult(ok, set_ok, space_ok, set_witness or space_witness)
+    if space_recurrent != t0_classes_recurrent:
+        return {"space_recurrent": space_recurrent,
+                "t0_classes_recurrent": t0_classes_recurrent}
+    return None
 
 
-@dataclass(frozen=True, eq=False)
-class SaddleEquivalenceResult:
-    """Outcome of the two three-way saddle-condition equivalence checks."""
-    ok: bool
-    witness: dict | None
-
-
-def saddle_equivalences_check(top: FiniteTopology, ctx: SpaceContext | None = None) -> SaddleEquivalenceResult:
+def saddle_equivalences_check(top: FiniteTopology, ctx: SpaceContext | None = None) -> dict | None:
     """Verify both saddle-condition equivalence triples on every point/pair.
 
     First triple, for every point x: x lies in the closure of the complement
     of its upset iff that upset is not a neighbourhood of x iff it is not
     open.  Second triple, for x strictly below y: x lies in the closure of
     (x, y] - {y} iff that set is nonempty iff (x, y) is nonempty or the
-    class of y is not a singleton.
+    class of y is not a singleton.  Returns None, or the first point or pair
+    whose three conditions disagree.
     """
     if ctx is None:
         ctx = SpaceContext(top)
@@ -218,8 +198,7 @@ def saddle_equivalences_check(top: FiniteTopology, ctx: SpaceContext | None = No
         c2 = not bool(ctx.top.interior_bits(ctx.up[x]) >> x & 1)
         c3 = ctx.up[x] not in ctx.top.opens_set
         if not c1 == c2 == c3:
-            return SaddleEquivalenceResult(False, {"lemma": "upset", "point": x,
-                                                   "conditions": [c1, c2, c3]})
+            return {"lemma": "upset", "point": x, "conditions": [c1, c2, c3]}
     for x in range(ctx.n):
         shell_cls = ctx.up[x] & ~ctx.cls[x]
         for y in bit_indices(shell_cls):
@@ -229,27 +208,18 @@ def saddle_equivalences_check(top: FiniteTopology, ctx: SpaceContext | None = No
             c2 = half_open_minus != 0
             c3 = open_interval != 0 or ctx.cls[y].bit_count() > 1
             if not c1 == c2 == c3:
-                return SaddleEquivalenceResult(False, {"lemma": "interval", "pair": [x, y],
-                                                       "conditions": [c1, c2, c3]})
-    return SaddleEquivalenceResult(True, None)
+                return {"lemma": "interval", "pair": [x, y], "conditions": [c1, c2, c3]}
+    return None
 
 
-@dataclass(frozen=True, eq=False)
-class RecurrenceExclusionResult:
-    """Outcome of: a recurrent space has no hyperbolic-like points."""
-    space_recurrent: bool
-    ok: bool
-    witness: dict | None
-
-
-def recurrent_vs_hyperbolic_check(top: FiniteTopology, ctx: SpaceContext | None = None) -> RecurrenceExclusionResult:
+def recurrent_vs_hyperbolic_check(top: FiniteTopology, ctx: SpaceContext | None = None) -> dict | None:
+    """A recurrent space has no hyperbolic-like points: None, or the first such point."""
     if ctx is None:
         ctx = SpaceContext(top)
     flags = classify_space(top, ctx)
-    space_recurrent = all(f.recurrent for f in flags)
-    if not space_recurrent:
-        return RecurrenceExclusionResult(False, True, None)
+    if not all(f.recurrent for f in flags):
+        return None
     for x, f in enumerate(flags):
         if f.hyperbolic_like:
-            return RecurrenceExclusionResult(True, False, {"point": x})
-    return RecurrenceExclusionResult(True, True, None)
+            return {"point": x}
+    return None

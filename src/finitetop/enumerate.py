@@ -12,13 +12,16 @@ On top of the enumerators sits a registry of theorems: every order
 characterization, implication chain, finite collapse, transfer law, and
 decomposition criterion checked on all spaces (or pairs, or partitions) up
 to a size cap.  A family of look-alike theorems (mode agreements, chains,
-collapses, laws, disjoint-union invariances) is one check factory and one
+collapses, disjoint-union invariances) is one check factory and one
 registry row per theorem.  A check takes one case: a space case is its
 SpaceContext, a pair case the contexts (left, right, union) of both
-summands and their union, a partition case (space, decomposition).  A
-refuted theorem yields the minimal witness, fewest points first and least
-preorder encoding second.  Probe theorems carry asserted=False: their
-refutations are reportable findings, not failures.
+summands and their union, a partition case (space, decomposition).  It
+returns None where the theorem holds and its witness dict where it fails.
+The dynamics and decomposition laws follow the same contract, so their
+rows call them directly.  A refuted theorem yields the minimal witness,
+fewest points first and least preorder encoding second.  Probe theorems
+carry asserted=False: their refutations are reportable findings, not
+failures.
 """
 
 from __future__ import annotations
@@ -651,20 +654,11 @@ def _check_roundtrip(ctx: SpaceContext) -> dict | None:
     return None
 
 
-def _law(law: Callable) -> Callable:
-    """A check that returns the witness of law(*case) where the law fails, else None.
-
-    Each row passes a lambda, so that the law function is looked up at call
-    time and instrumentation that replaces it sees the call.
-    """
-    def run(*case) -> dict | None:
-        r = law(*case)
-        return None if r.ok else r.witness
-    return run
-
-
+# a law returns None or its witness dict, so it is a check as it stands; each
+# row wraps it in a lambda so that the law is looked up at call time and
+# instrumentation that replaces it sees the call
 _register("recurrence_transfer", "recurrence transfers to the class space: preimage law and space law",
-          "space", True, _law(lambda ctx: recurrence_transfer_check(ctx.top, ctx)))
+          "space", True, lambda ctx: recurrence_transfer_check(ctx.top, ctx))
 
 
 @_theorem("nonwandering_density", "every point is non-wandering iff big classes and recurrent classes are dense in the class space")
@@ -682,9 +676,9 @@ def _check_nonwandering(ctx: SpaceContext) -> dict | None:
 
 
 _register("saddle_equivalences", "both saddle-condition triples are equivalent on every point and pair",
-          "space", True, _law(lambda ctx: saddle_equivalences_check(ctx.top, ctx)))
+          "space", True, lambda ctx: saddle_equivalences_check(ctx.top, ctx))
 _register("recurrent_excludes_hyperbolic", "a recurrent space has no hyperbolic-like points",
-          "space", True, _law(lambda ctx: recurrent_vs_hyperbolic_check(ctx.top, ctx)))
+          "space", True, lambda ctx: recurrent_vs_hyperbolic_check(ctx.top, ctx))
 
 
 @_theorem("hyperbolic_converse_probe",
@@ -776,7 +770,7 @@ def _check_du_closure(left: SpaceContext, right: SpaceContext, union: SpaceConte
 
 _register("tau_f_containment",
           "saturated opens sit inside the topology iff saturated closures; containment forces a topology",
-          "partition", True, _law(lambda top, dec: lemma001_check(top, dec)))
+          "partition", True, lambda top, dec: lemma001_check(top, dec))
 
 
 @_theorem("tau_f_quotient_correspondence", "when contained, the saturated family equals the quotient topology on blocks", scope="partition")

@@ -1,4 +1,4 @@
-"""Order analytics on preorders: heights, forests, intervals, patterns.
+"""Order analytics on preorders: heights, forests, patterns.
 
 Strictness is class-strict throughout: x < y means x <= y and not y <= x,
 so points inside one equivalence class are never strictly comparable.
@@ -127,20 +127,6 @@ def is_down_discrete(pre: Preorder) -> bool:
     return True
 
 
-def is_convex(pre: Preorder, bits: int) -> bool:
-    """bits equals the intersection of its upset and downset.
-
-    On a finite carrier these are exactly the lambda-closed subsets of the
-    Alexandrov topology.
-    """
-    up_a = 0
-    down_a = 0
-    for x in bit_indices(bits):
-        up_a |= pre.up[x]
-        down_a |= pre.down[x]
-    return up_a & down_a == bits
-
-
 def min_s1_witness(pre: Preorder) -> tuple[int, int, int, int] | None:
     """Find four classes a,b < c,d forming the minimal circle pattern.
 
@@ -203,19 +189,6 @@ def bouquet_root(pre: Preorder) -> int | None:
         if is_downward_forest(_delete_class(pre, block)):
             return rep
     return None
-
-
-def interval(pre: Preorder, x: int, y: int, kind: str = "closed") -> int:
-    """Order interval between x and y; kind selects endpoint strictness.
-
-    closed [x,y], half_open_left (x,y], half_open_right [x,y), open (x,y).
-    Strict endpoints exclude the whole class of the endpoint.
-    """
-    if kind not in ("closed", "half_open_left", "half_open_right", "open"):
-        raise ValueError(f"unknown interval kind {kind!r}")
-    lo = pre.up[x] if kind in ("closed", "half_open_right") else pre.up[x] & ~pre.cls[x]
-    hi = pre.down[y] if kind in ("closed", "half_open_left") else pre.down[y] & ~pre.cls[y]
-    return lo & hi
 
 
 def comparability_components(pre: Preorder) -> tuple[int, ...]:

@@ -379,7 +379,8 @@ class TestDeterminism:
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N6_SHA256
 
     def test_verify_byte_identical_across_jobs(self):
-        a = run_cli("verify", "all", "--n-max", "3")[1]
-        b = run_cli("verify", "all", "--n-max", "3", "--jobs", "2")[1]
-        c = run_cli("verify", "all", "--n-max", "3")[1]
-        assert a == b == c
+        runs = [run_cli("verify", "all", "--n-max", "3", *jobs) for jobs in ((), ("--jobs", "2"), ())]
+        for rc, _, err in runs:
+            assert rc == 0, err
+        outs = [out for _, out, _ in runs]
+        assert outs[0] == outs[1] == outs[2], [err for _, _, err in runs]

@@ -97,18 +97,6 @@ class TestOperators:
                         honest &= u
                 assert top.kernel_bits(a) == honest
 
-    def test_lambda_closure(self):
-        for top in all_topologies_brute(3):
-            for a in range(1 << 3):
-                lam = top.lambda_closure_bits(a)
-                assert lam == top.kernel_bits(a) & top.closure_bits(a)
-                assert top.is_lambda_closed(a) == (lam == a)
-
-    def test_shell(self):
-        t = SIERPINSKI
-        assert t.shell_bits(0b10) == 0b01
-        assert t.shell_bits(0b01) == 0
-
 
 class TestSpecialization:
     def test_sierpinski_order(self):

@@ -1,26 +1,58 @@
 from __future__ import annotations
 
+from typing import Iterable
+
 import pytest
 
+from finitetop import decomp
 from finitetop.core import FiniteTopology, bit_indices
 from finitetop.decomp import (
     Decomposition,
-    class_partition,
+    TauFResult,
     iter_partitions,
     lemma001_check,
     quotient,
     tau_F,
 )
+from finitetop.enumerate import _REGISTRY
 
 from test_core import all_topologies_brute
 
+
+def from_blocks(n: int, blocks: Iterable[Iterable[int]]) -> Decomposition:
+    """A decomposition from blocks given as lists of points."""
+    masks = []
+    for block in blocks:
+        m = 0
+        for p in block:
+            m |= 1 << p
+        masks.append(m)
+    return Decomposition(n, tuple(masks))
+
+
+def class_partition(top: FiniteTopology) -> Decomposition:
+    """The partition into closure-equality classes."""
+    return Decomposition(top.n, tuple(set(top.point_classes)))
+
+
+def tau_f_contained(top: FiniteTopology, dec: Decomposition) -> bool:
+    return all(s in top.opens_set for s in tau_F(top, dec).family)
+
+
+def closures_saturated(top: FiniteTopology, dec: Decomposition) -> bool:
+    """The closure of every union of blocks is a union of blocks."""
+    saturated = (a for a in range(1 << top.n) if dec.saturate_bits(a) == a)
+    return all(dec.saturate_bits(cl) == cl for cl in map(top.closure_bits, saturated))
+
+
 FIVE = FiniteTopology(5, (0, 0b00011, 0b01100, 0b01111, 0b11111))
-CROSSING = Decomposition.from_blocks(5, [[0, 2], [1, 4], [3]])
+CROSSING = from_blocks(5, [[0, 2], [1, 4], [3]])
+DISCRETE5 = from_blocks(5, [[i] for i in range(5)])
 
 
 class TestDecomposition:
     def test_sorted_by_least_member(self):
-        dec = Decomposition.from_blocks(3, [[2], [0, 1]])
+        dec = from_blocks(3, [[2], [0, 1]])
         assert dec.blocks == (0b011, 0b100)
 
     def test_block_of(self):
@@ -28,19 +60,19 @@ class TestDecomposition:
 
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
-            Decomposition.from_blocks(3, [[0, 1], [1, 2]])
+            from_blocks(3, [[0, 1], [1, 2]])
 
     def test_rejects_gap(self):
         with pytest.raises(ValueError):
-            Decomposition.from_blocks(3, [[0, 1]])
+            from_blocks(3, [[0, 1]])
 
     def test_rejects_empty_block(self):
         with pytest.raises(ValueError):
-            Decomposition.from_blocks(3, [[0, 1, 2], []])
+            from_blocks(3, [[0, 1, 2], []])
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            Decomposition.from_blocks(2, [[0, 1, 2]])
+            from_blocks(2, [[0, 1, 2]])
 
     def test_saturate(self):
         assert CROSSING.saturate_bits(0b00001) == 0b00101
@@ -63,14 +95,13 @@ class TestTauF:
             assert r.is_topology
 
     def test_trivial_partition(self):
-        dec = Decomposition.from_blocks(5, [[0, 1, 2, 3, 4]])
+        dec = from_blocks(5, [[0, 1, 2, 3, 4]])
         r = tau_F(FIVE, dec)
         assert r.is_topology
         assert set(r.family) == {0, 0b11111}
 
     def test_discrete_partition_saturates_nothing(self):
-        dec = Decomposition.from_blocks(5, [[i] for i in range(5)])
-        r = tau_F(FIVE, dec)
+        r = tau_F(FIVE, DISCRETE5)
         assert set(r.family) == set(FIVE.opens)
         assert r.is_topology
 
@@ -80,17 +111,45 @@ class TestLemma001:
         for n in range(4):
             for top in all_topologies_brute(n):
                 for dec in iter_partitions(n):
-                    r = lemma001_check(top, dec)
-                    assert r.equivalence_ok, (top.opens, dec.blocks)
-                    assert r.tau_f_contained == r.closures_saturated
-                    assert r.topology_when_contained_ok
-                    assert r.ok
+                    assert lemma001_check(top, dec) is None, (top.opens, dec.blocks)
+                    contained = tau_f_contained(top, dec)
+                    assert contained == closures_saturated(top, dec), (top.opens, dec.blocks)
+                    assert not contained or tau_F(top, dec).is_topology
 
     def test_crossing_not_contained(self):
-        r = lemma001_check(FIVE, CROSSING)
-        assert not r.tau_f_contained
-        assert not r.closures_saturated
-        assert r.ok
+        assert not tau_f_contained(FIVE, CROSSING)
+        assert not closures_saturated(FIVE, CROSSING)
+        assert lemma001_check(FIVE, CROSSING) is None
+
+
+class TestLemma001Witnesses:
+    """The containment law's witness where a patched tau_F makes it fail.
+
+    No real (space, partition) refutes the law, so these dicts never reach
+    a verify report; the registered row must hand them on unchanged.
+    """
+
+    def test_contained_but_not_a_topology(self, monkeypatch):
+        real = decomp.tau_F
+        monkeypatch.setattr(decomp, "tau_F", lambda top, dec: TauFResult(
+            real(top, dec).family, False, {"opens": [[0], [1]]}))
+        want = {"tau_f_contained": True, "intersection_witness": {"opens": [[0], [1]]}}
+        assert lemma001_check(FIVE, DISCRETE5) == want
+        assert _REGISTRY["tau_f_containment"].check(FIVE, DISCRETE5) == want
+
+    def test_not_contained_with_saturated_closures(self, monkeypatch):
+        real = decomp.tau_F
+        # {0} is saturated by the discrete partition but not open
+        monkeypatch.setattr(decomp, "tau_F", lambda top, dec: TauFResult(
+            real(top, dec).family + (0b00001,), True, None))
+        assert lemma001_check(FIVE, DISCRETE5) == {
+            "tau_f_contained": False, "closures_saturated": True, "closure_witness": None}
+
+    def test_contained_with_an_unsaturated_closure(self, monkeypatch):
+        monkeypatch.setattr(decomp, "tau_F", lambda top, dec: TauFResult((0, 0b11111), True, None))
+        assert lemma001_check(FIVE, CROSSING) == {
+            "tau_f_contained": True, "closures_saturated": False,
+            "closure_witness": {"saturated_set": [1, 4], "closure": [0, 1, 4]}}
 
 
 class TestQuotient:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+
+from finitetop import dynamics
 from finitetop.axioms import CHARACTERIZED, DEFINITIONAL, SpaceContext, check_point
 from finitetop.core import FiniteTopology, Preorder, alexandrov
 from finitetop.dynamics import (
@@ -11,6 +14,7 @@ from finitetop.dynamics import (
     recurrent_vs_hyperbolic_check,
     saddle_equivalences_check,
 )
+from finitetop.enumerate import _REGISTRY
 
 from test_core import all_topologies_brute
 
@@ -107,9 +111,9 @@ class TestLaws:
         for n in range(4):
             for top in all_topologies_brute(n):
                 ctx = SpaceContext(top)
-                assert recurrence_transfer_check(top, ctx).ok
-                assert saddle_equivalences_check(top, ctx).ok
-                assert recurrent_vs_hyperbolic_check(top, ctx).ok
+                assert recurrence_transfer_check(top, ctx) is None
+                assert saddle_equivalences_check(top, ctx) is None
+                assert recurrent_vs_hyperbolic_check(top, ctx) is None
 
     def test_no_anosov_small(self):
         for n in range(4):
@@ -121,3 +125,45 @@ class TestLaws:
         # closed, so the minimal set is never dense without being everything
         chain = alexandrov(Preorder.from_pairs(3, [(0, 1), (1, 2)]))
         assert not is_anosov_type(chain)
+
+
+class TestLawWitnesses:
+    """Each law's witness where a patched input makes it fail.
+
+    No law fails on a real finite space, so these dicts never reach a
+    verify report; the registered row must hand them on unchanged.
+    """
+
+    def test_transfer_set_law(self, monkeypatch):
+        # no point recurrent, yet a and b share a class: the preimage keeps them
+        monkeypatch.setattr(dynamics, "recurrent_mask", lambda ctx: 0)
+        want = {"point": 0, "preimage": [0, 1], "recurrent": []}
+        assert recurrence_transfer_check(GOLDEN4) == want
+        assert _REGISTRY["recurrence_transfer"].check(SpaceContext(GOLDEN4)) == want
+
+    def test_saddle_upset_lemma(self):
+        # up(0) = {0, 2} under the stated order is not open, yet holds the open {0}
+        top = FiniteTopology(3, (0, 0b001, 0b010, 0b011, 0b110, 0b111))
+        ctx = SpaceContext(top, Preorder(3, (0b101, 0b010, 0b100)))
+        want = {"lemma": "upset", "point": 0, "conditions": [False, False, True]}
+        assert saddle_equivalences_check(top, ctx) == want
+        assert _REGISTRY["saddle_equivalences"].check(ctx) == want
+
+    def test_saddle_interval_lemma(self):
+        top = FiniteTopology(3, tuple(range(8)))
+        ctx = SpaceContext(top, Preorder(3, (0b001, 0b011, 0b111)))
+        assert saddle_equivalences_check(top, ctx) == {
+            "lemma": "interval", "pair": [2, 0], "conditions": [False, True, True]}
+
+    def test_recurrent_space_with_hyperbolic_point(self, monkeypatch):
+        real = dynamics.classify_space
+
+        def flagged(top, ctx=None):
+            return tuple(dataclasses.replace(f, hyperbolic_like=x == 1)
+                         for x, f in enumerate(real(top, ctx)))
+
+        monkeypatch.setattr(dynamics, "classify_space", flagged)
+        assert recurrent_vs_hyperbolic_check(INDISCRETE2) == {"point": 1}
+        assert _REGISTRY["recurrent_excludes_hyperbolic"].check(SpaceContext(INDISCRETE2)) == {"point": 1}
+        # the law says nothing about a space that is not recurrent
+        assert recurrent_vs_hyperbolic_check(GOLDEN4) is None

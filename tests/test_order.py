@@ -1,15 +1,11 @@
 from __future__ import annotations
 
-import pytest
-
-from finitetop.core import Preorder, alexandrov
+from finitetop.core import Preorder, alexandrov, bit_indices
 from finitetop.order import (
     bottoms_mask,
     bouquet_root,
     comparability_components,
     heights,
-    interval,
-    is_convex,
     is_down_directed,
     is_down_discrete,
     is_downward_forest,
@@ -25,6 +21,20 @@ VEE = Preorder.from_pairs(3, [(0, 1), (0, 2)])          # one bottom, two tops
 WEDGE = Preorder.from_pairs(3, [(0, 2), (1, 2)])        # two bottoms, one top
 MIN_S1 = Preorder.from_pairs(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
 PAIR_CLASS = Preorder.from_pairs(3, [(0, 1), (1, 0), (0, 2)])  # {0,1} < {2}
+
+
+def is_convex(pre: Preorder, bits: int) -> bool:
+    """bits equals the intersection of its upset and downset.
+
+    On a finite carrier these are exactly the lambda-closed subsets of the
+    Alexandrov topology.
+    """
+    up_a = 0
+    down_a = 0
+    for x in bit_indices(bits):
+        up_a |= pre.up[x]
+        down_a |= pre.down[x]
+    return up_a & down_a == bits
 
 
 class TestBasics:
@@ -107,7 +117,8 @@ class TestConvexity:
         for pre in (CHAIN3, VEE, WEDGE, MIN_S1, PAIR_CLASS):
             top = alexandrov(pre)
             for a in range(1 << pre.n):
-                assert is_convex(pre, a) == top.is_lambda_closed(a)
+                lambda_closed = top.kernel_bits(a) & top.closure_bits(a) == a
+                assert is_convex(pre, a) == lambda_closed
 
 
 class TestMinS1:
@@ -144,22 +155,6 @@ class TestBouquet:
 
     def test_empty(self):
         assert bouquet_root(Preorder(0, ())) is None
-
-
-class TestIntervals:
-    def test_kinds(self):
-        assert interval(CHAIN3, 0, 2, "closed") == 0b111
-        assert interval(CHAIN3, 0, 2, "half_open_left") == 0b110
-        assert interval(CHAIN3, 0, 2, "half_open_right") == 0b011
-        assert interval(CHAIN3, 0, 2, "open") == 0b010
-
-    def test_class_strict_endpoints(self):
-        assert interval(PAIR_CLASS, 0, 2, "open") == 0
-        assert interval(PAIR_CLASS, 0, 2, "half_open_left") == 0b100
-
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            interval(CHAIN3, 0, 2, "clopen")
 
 
 class TestComponents:
