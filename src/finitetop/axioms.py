@@ -395,6 +395,12 @@ def _d_wc0_space(ctx: SpaceContext) -> dict | None:
 def _d_lambda_space(ctx: SpaceContext) -> dict | None:
     kt, ct = ctx.kernel_t, ctx.closure_t
     lam = [a for a in range(1 << ctx.n) if kt[a] & ct[a] == a]
+    # s_x = kernel & closure of {x} is the least lambda-closed set holding x, and every
+    # lambda-closed b is the union of s_x over x in b: a | s_x closed for all a suffices
+    least = [kt[1 << x] & ct[1 << x] for x in range(ctx.n)]
+    lam_set = set(lam)
+    if all(a | s in lam_set for s in least for a in lam):
+        return None
     for i, a in enumerate(lam):
         for b in lam[i + 1:]:
             u = a | b

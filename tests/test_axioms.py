@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitetop.axioms import (
     AXIOMS,
@@ -12,7 +14,7 @@ from finitetop.axioms import (
     check_point,
     check_space,
 )
-from finitetop.core import FiniteTopology, Preorder, alexandrov
+from finitetop.core import FiniteTopology, Preorder, alexandrov, bit_indices
 from finitetop.enumerate import enumerate_topologies
 
 from test_core import all_topologies_brute
@@ -78,6 +80,58 @@ class TestModes:
 
 def _verdicts(top, mode=DEFINITIONAL):
     return {a: r.verdict for a, r in axiom_vector(top, mode).items()}
+
+
+def _reference_d_lambda_space(ctx: SpaceContext) -> dict | None:
+    """The definitional lambda check as a literal pairwise scan: the oracle for its fast accept."""
+    kt, ct = ctx.kernel_t, ctx.closure_t
+    lam = [a for a in range(1 << ctx.n) if kt[a] & ct[a] == a]
+    for i, a in enumerate(lam):
+        for b in lam[i + 1:]:
+            u = a | b
+            if kt[u] & ct[u] != u:
+                return {"sets": [sorted(bit_indices(a)), sorted(bit_indices(b))]}
+    return None
+
+
+def _lambda_witness(top: FiniteTopology) -> dict | None:
+    ctx = SpaceContext(top)
+    got = AXIOMS["lambda"].def_space(ctx)
+    assert got == _reference_d_lambda_space(ctx), top
+    return got
+
+
+@st.composite
+def _lambda_cases(draw):
+    """Spaces on 7-10 points: height at most one (always lambda), a partial
+    order holding the chain 0 < 1 < 2 (never lambda), or any preorder."""
+    n = draw(st.integers(7, 10))
+    kind = draw(st.sampled_from(["height-1", "chain", "any"]))
+    point = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(point, point), max_size=n + 4))
+    if kind == "height-1":
+        lower = draw(st.sets(point))
+        pairs = [(x, y) for x, y in pairs if x in lower and y not in lower]
+    elif kind == "chain":
+        pairs = [(0, 1), (1, 2)] + [(x, y) for x, y in pairs if x < y]
+    return kind, alexandrov(Preorder.from_pairs(n, pairs))
+
+
+class TestLambdaOracle:
+    def test_small_spaces_match_reference(self):
+        spaces = [*(top for n in range(5) for top in enumerate_topologies(n)),
+                  *(top for n in (5, 6) for top in enumerate_topologies(n, up_to_iso=True))]
+        assert len(spaces) == 390 + 139 + 718
+        verdicts = {_lambda_witness(top) is None for top in spaces}
+        assert verdicts == {True, False}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(_lambda_cases())
+    def test_random_spaces_match_reference(self, case):
+        kind, top = case
+        witness = _lambda_witness(top)
+        if kind != "any":
+            assert (witness is None) == (kind == "height-1"), (kind, top)
 
 
 class TestGoldenVectors:

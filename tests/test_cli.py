@@ -247,6 +247,44 @@ class TestClassify:
         assert rc == 0 and json.loads(out)["points"] == 2
 
 
+def _discrete_doc(n: int, drop: tuple[int, ...] = ()) -> dict:
+    """Every subset of n points as an opens document, less the bitmaps in drop."""
+    return {"points": n, "opens": [[x for x in range(n) if u >> x & 1]
+                                   for u in range(1 << n) if u not in drop]}
+
+
+_NO_STDOUT = hashlib.sha256(b"").hexdigest()
+# exit code, stdout sha256 and stderr of `classify` on the largest documents,
+# recorded when validation and the definitional lambda check were pairwise scans
+LARGE_CLASSIFY_PINS = [
+    (_discrete_doc(12), 0,
+     "11cecf23da3a22051a8434b4bd91c30725d3c21726e44c8bf0b7fc073f4a31df", ""),
+    ({"points": 12, "leq": [], "closure": "reflexive-transitive"}, 0,
+     "11cecf23da3a22051a8434b4bd91c30725d3c21726e44c8bf0b7fc073f4a31df", ""),
+    # not a lambda-space: the definitional witness comes from the pairwise scan
+    ({"points": 12, "leq": [[0, 1], [1, 2]], "closure": "reflexive-transitive"}, 0,
+     "bb53f6dee2ab6eb0db65b1f7939f338d573eec61f7a7886bc24f149fa03e524c", ""),
+    (_discrete_doc(12, drop=(0x7FF,)), 3, _NO_STDOUT,
+     '{"error": "NotClosedUnderUnionError", "message": "opens {0} and {1,2,3,4,5,6,7,8,9,10} '
+     'have a union outside the family", "witness": [[0], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10]]}\n'),
+    (_discrete_doc(11, drop=(0b1,)), 3, _NO_STDOUT,
+     '{"error": "NotClosedUnderIntersectionError", "message": "opens {0,1} and {0,2} have an '
+     'intersection outside the family", "witness": [[0, 1], [0, 2]]}\n'),
+    (_discrete_doc(11, drop=(0,)), 3, _NO_STDOUT,
+     '{"error": "MissingEmptyOrFullError", "message": "family must contain the empty set and '
+     'the whole space"}\n'),
+]
+
+
+class TestLargeClassify:
+    @pytest.mark.parametrize("doc, code, stdout_sha256, stderr", LARGE_CLASSIFY_PINS,
+                             ids=["discrete12", "discrete12-leq", "chain3-12-leq",
+                                  "union12", "intersection11", "no-empty11"])
+    def test_pinned_outcome(self, doc, code, stdout_sha256, stderr):
+        rc, out, err = run_cli("classify", stdin=json.dumps(doc))
+        assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == (code, stdout_sha256, stderr)
+
+
 class TestVerifyCommand:
     def test_single_theorem_case_insensitive(self):
         rc, out, _ = run_cli("verify", "T14_char", "--n-max", "3")

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_, or_
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitetop.core import (
     FiniteTopology,
@@ -8,6 +13,7 @@ from finitetop.core import (
     NotClosedUnderIntersectionError,
     NotClosedUnderUnionError,
     Preorder,
+    TopologyError,
     alexandrov,
     bit_indices,
     class_poset,
@@ -34,6 +40,87 @@ def all_topologies_brute(n: int) -> list[FiniteTopology]:
         if ok:
             out.append(FiniteTopology(n, tuple(sorted(fam))))
     return out
+
+
+def _reference_validate(n: int, opens) -> FiniteTopology:
+    """validate_topology as a literal pairwise scan: the oracle for its fast accept."""
+    if n < 0:
+        raise ValueError("point count must be nonnegative")
+    full = (1 << n) - 1
+    fam: set[int] = set()
+    for u in opens:
+        if not 0 <= u <= full:
+            raise TopologyError(f"bitmap {u:#x} outside universe of size {n}")
+        fam.add(u)
+    if 0 not in fam or full not in fam:
+        raise MissingEmptyOrFullError("family must contain the empty set and the whole space")
+    ordered = sorted(fam)
+    for i, u in enumerate(ordered):
+        for v in ordered[i + 1:]:
+            if u | v not in fam:
+                raise NotClosedUnderUnionError((u, v))
+            if u & v not in fam:
+                raise NotClosedUnderIntersectionError((u, v))
+    return FiniteTopology(n, tuple(ordered))
+
+
+def _outcome(validate, n: int, fam) -> object:
+    """The accepted topology, or the rejection's class, witness and message."""
+    try:
+        return validate(n, fam)
+    except TopologyError as exc:
+        return type(exc), getattr(exc, "witness", None), str(exc)
+
+
+def _assert_same_as_reference(n: int, fam) -> object:
+    got = _outcome(validate_topology, n, fam)
+    assert got == _outcome(_reference_validate, n, fam), (n, sorted(fam))
+    return got
+
+
+@st.composite
+def _families(draw):
+    """Families over at most 7 points: topologies, topologies with one set
+    removed that breaks union or intersection closure or with the empty set
+    dropped, and arbitrary families holding the empty and the full set."""
+    kind = draw(st.sampled_from(["valid", "union", "intersection", "no-empty", "any"]))
+    if kind == "any":
+        n = draw(st.integers(4, 7))
+        full = (1 << n) - 1
+        return kind, n, draw(st.sets(st.integers(0, full), max_size=40)) | {0, full}
+    n = draw(st.integers(1, 7))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    top = alexandrov(Preorder.from_pairs(n, pairs))
+    fam = set(top.opens)
+    if kind == "no-empty":
+        fam.discard(0)
+    elif kind != "valid":
+        def reducible(w: int) -> bool:
+            if kind == "union":
+                return w == reduce(or_, (u for u in fam if u != w and u & ~w == 0), 0)
+            return w == reduce(and_, (u for u in fam if u != w and w & ~u == 0), top.full_bits)
+        candidates = sorted(w for w in fam if w not in (0, top.full_bits) and reducible(w))
+        if not candidates:
+            return "valid", n, fam
+        fam.discard(draw(st.sampled_from(candidates)))
+    return kind, n, fam
+
+
+class TestValidateOracle:
+    def test_every_family_up_to_3_points(self):
+        for n in range(4):
+            for pick in range(1 << (1 << n)):
+                _assert_same_as_reference(n, [s for s in range(1 << n) if pick >> s & 1])
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(_families())
+    def test_random_families_up_to_7_points(self, case):
+        kind, n, fam = case
+        got = _assert_same_as_reference(n, fam)
+        if kind != "any":
+            assert isinstance(got, FiniteTopology) == (kind == "valid"), (kind, got)
+        if kind == "no-empty":
+            assert got[0] is MissingEmptyOrFullError
 
 
 class TestValidate:
