@@ -26,6 +26,7 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import cache
 from typing import Any
 
 from .axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
@@ -325,7 +326,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every call of main."""
     parser = argparse.ArgumentParser(
         prog="finitetop",
         description="Classify finite topological spaces and verify their order-theoretic laws.",

@@ -142,13 +142,14 @@ def is_anosov_type(top: FiniteTopology, ctx: SpaceContext | None = None) -> bool
 
 
 def recurrence_transfer_check(top: FiniteTopology, ctx: SpaceContext | None = None) -> dict | None:
-    """Check both recurrence transfer laws against the class space.
+    """Check the recurrence transfer laws against the class space.
 
     Set law: the preimage of (non-singleton classes union recurrent classes)
     is exactly the recurrent set of the space.  Space law: every point is
     recurrent iff the class of every singleton-class point is recurrent in
-    the class space.  Returns None when both hold, else the witness of the
-    first law that fails, the set law first.
+    the class space.  The space law is the set law read at the full set
+    (the preimage is everything iff every singleton class is recurrent), so
+    only the set law is checked.  Returns None, or the set law's witness.
     """
     if ctx is None:
         ctx = SpaceContext(top)
@@ -167,16 +168,6 @@ def recurrence_transfer_check(top: FiniteTopology, ctx: SpaceContext | None = No
         return {"point": (diff & -diff).bit_length() - 1,
                 "preimage": sorted(bit_indices(preimage)),
                 "recurrent": sorted(bit_indices(r))}
-
-    space_recurrent = r == ctx.full
-    t0_classes_recurrent = all(
-        qr >> mapping[x] & 1
-        for x in range(ctx.n)
-        if class_sizes[mapping[x]] == 1
-    )
-    if space_recurrent != t0_classes_recurrent:
-        return {"space_recurrent": space_recurrent,
-                "t0_classes_recurrent": t0_classes_recurrent}
     return None
 
 

@@ -1,14 +1,13 @@
 """Exhaustive enumeration oracle and theorem-verification harness.
 
-Two independent enumerators produce every labeled topology on a small
-carrier: a preorder backtracker that grows a reflexive-transitive relation
-matrix cell by cell with incremental closure, and an open-family backtracker
-that decides subset membership with union/intersection propagation.  Their
-agreement (as multisets of canonical encodings) is itself a test.  Classes
-up to relabeling come from the preorder stream by orbit marking, one
+One enumerator produces every labeled topology on a small carrier: a
+preorder backtracker that grows a reflexive-transitive relation matrix cell
+by cell with incremental closure.  The tests check its stream against an
+independent open-family backtracker kept with them.  Classes up to
+relabeling come from the preorder stream by orbit marking, one
 least-encoded representative per class with its orbit size.
 
-On top of the enumerators sits a registry of theorems: every order
+On top of the enumerator sits a registry of theorems: every order
 characterization, implication chain, finite collapse, transfer law, and
 decomposition criterion checked on all spaces (or pairs, or partitions) up
 to a size cap.  A family of look-alike theorems (mode agreements, chains,
@@ -178,12 +177,6 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
         yield Preorder(n, rows)
 
 
-def count_preorders(n: int) -> int:
-    """Number of preorders on n labeled points, counted through the backtracker."""
-    _check_size(n)
-    return sum(1 for _ in _preorder_rows(n))
-
-
 @cache
 def _relabel_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
     """Per permutation p of range(n), identity first: p and its row table.
@@ -254,73 +247,9 @@ def enumerate_topologies(n: int, up_to_iso: bool = False) -> Iterator[FiniteTopo
 
 
 def count_topologies(n: int) -> int:
+    """Number of topologies (equivalently preorders) on n labeled points."""
     _check_size(n)
-    return count_preorders(n)
-
-
-# ---------------------------------------------------------------------------
-# independent open-family enumeration
-
-_UNDECIDED, _IN, _OUT = 0, 1, 2
-
-
-def enumerate_open_families(n: int) -> Iterator[FiniteTopology]:
-    """Every labeled topology by direct search over open-set families.
-
-    Independent of the preorder route: subsets are decided in numeric order,
-    out branch first, and every in decision propagates closure under pairwise
-    union and intersection through a worklist.
-    """
-    _check_size(n)
-    size = 1 << n
-    full = size - 1
-    if n == 0:
-        yield FiniteTopology(0, (0,))
-        return
-    status = [_UNDECIDED] * size
-    status[0] = _IN
-    status[full] = _IN
-    members = [0, full] if full else [0]
-
-    def close_with(s: int) -> tuple[list[int], bool]:
-        added = []
-        queue = [s]
-        while queue:
-            t = queue.pop()
-            for m2 in members:
-                for u in (t | m2, t & m2):
-                    st = status[u]
-                    if st == _OUT:
-                        return added, False
-                    if st == _UNDECIDED:
-                        status[u] = _IN
-                        members.append(u)
-                        added.append(u)
-                        queue.append(u)
-        return added, True
-
-    def rec(s: int) -> Iterator[FiniteTopology]:
-        while s < size and status[s] != _UNDECIDED:
-            s += 1
-        if s == size:
-            yield FiniteTopology(n, tuple(sorted(members)))
-            return
-        status[s] = _OUT
-        yield from rec(s + 1)
-        status[s] = _UNDECIDED
-
-        status[s] = _IN
-        members.append(s)
-        added, ok = close_with(s)
-        if ok:
-            yield from rec(s + 1)
-        for u in added:
-            status[u] = _UNDECIDED
-            members.pop()
-        status[s] = _UNDECIDED
-        members.pop()
-
-    yield from rec(1)
+    return sum(1 for _ in _preorder_rows(n))
 
 
 # ---------------------------------------------------------------------------
@@ -1000,10 +929,6 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     return findings
 
 
-def verify(theorem_id: str, n_max: int = 5, jobs: int = 1) -> Finding:
-    return verify_all([theorem_id], n_max=n_max, jobs=jobs)[0]
-
-
 # ---------------------------------------------------------------------------
 # implication matrix
 
@@ -1016,9 +941,6 @@ class ImplicationMatrix:
 
     def implies(self, a: str, b: str) -> bool:
         return (a, b) not in self.counterexamples
-
-    def witness(self, a: str, b: str) -> dict | None:
-        return self.counterexamples.get((a, b))
 
     def to_json_dict(self) -> dict:
         return {

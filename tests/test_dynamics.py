@@ -115,6 +115,29 @@ class TestLaws:
                 assert saddle_equivalences_check(top, ctx) is None
                 assert recurrent_vs_hyperbolic_check(top, ctx) is None
 
+    def test_transfer_space_law_follows_from_set_law(self, monkeypatch):
+        # the space law is no separate check: wherever the set law holds on
+        # patched recurrent masks, every point is recurrent iff every
+        # singleton class is recurrent in the class space
+        masks = {}
+        monkeypatch.setattr(dynamics, "recurrent_mask", lambda ctx: masks[id(ctx)])
+        held = failed = 0
+        for n in range(4):
+            for top in all_topologies_brute(n):
+                ctx = SpaceContext(top)
+                qctx, mapping = ctx.class_ctx
+                singletons = [b for b in range(qctx.n) if mapping.count(b) == 1]
+                for r in range(1 << n):
+                    for qr in range(1 << qctx.n):
+                        masks[id(ctx)], masks[id(qctx)] = r, qr
+                        if recurrence_transfer_check(top, ctx) is not None:
+                            failed += 1
+                            continue
+                        held += 1
+                        space_recurrent = r == ctx.full
+                        assert space_recurrent == all(qr >> b & 1 for b in singletons), (top, r, qr)
+        assert held and failed
+
     def test_no_anosov_small(self):
         for n in range(4):
             for top in all_topologies_brute(n):

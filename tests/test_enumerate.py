@@ -22,18 +22,17 @@ from finitetop.enumerate import (
     _preorder_classes,
     _space_payload,
     _sweep,
-    count_preorders,
     count_topologies,
     decode_preorder,
-    enumerate_open_families,
     enumerate_preorders,
     enumerate_topologies,
     implication_matrix,
     preorder_encoding,
     theorems,
-    verify,
     verify_all,
 )
+
+from oracles import count_open_families, enumerate_open_families
 
 LABELED = (1, 1, 4, 29, 355, 6942, 209527)
 # OEIS A001930: topologies up to relabeling
@@ -61,10 +60,6 @@ def canonical_preorder_key(pre: Preorder) -> int:
         if best is None or code < best:
             best = code
     return best if best is not None else 0
-
-
-def count_open_families(n: int) -> int:
-    return sum(1 for _ in enumerate_open_families(n))
 
 
 class TestEncodings:
@@ -99,7 +94,6 @@ class TestEncodings:
 class TestEnumeration:
     def test_labeled_counts_both_routes(self):
         for n in range(5):
-            assert count_preorders(n) == LABELED[n]
             assert sum(1 for _ in enumerate_preorders(n)) == LABELED[n]
             assert count_open_families(n) == LABELED[n]
             assert count_topologies(n) == LABELED[n]
@@ -129,13 +123,13 @@ class TestEnumeration:
                 break
 
     def test_size_cap(self):
-        for fn in (count_preorders, count_topologies, count_open_families):
+        for fn in (count_topologies, count_open_families):
             with pytest.raises(SizeTooLargeError):
                 fn(MAX_POINTS + 1)
         with pytest.raises(SizeTooLargeError):
             next(enumerate_preorders(8))
         with pytest.raises(ValueError):
-            count_preorders(-1)
+            count_topologies(-1)
 
 
 class TestRegistry:
@@ -151,19 +145,19 @@ class TestRegistry:
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
-            verify("no_such_theorem", n_max=2)
+            verify_all(["no_such_theorem"], n_max=2)
 
 
 class TestVerify:
     def test_single_verified(self):
-        f = verify("t0_char", n_max=3)
+        f = verify_all(["t0_char"], n_max=3)[0]
         assert f.status == "verified"
         assert f.spaces_checked == 35
         assert f.witness is None
         assert f.asserted
 
     def test_probe_witness_replays(self):
-        f = verify("sd_mixed_probe", n_max=3)
+        f = verify_all(["sd_mixed_probe"], n_max=3)[0]
         assert f.status == "refuted" and not f.asserted
         w = f.witness
         pre = decode_preorder(w["n"], w["encoding"])
@@ -174,7 +168,7 @@ class TestVerify:
         assert again is not None and again["point"] == w["point"]
 
     def test_point_shell_probe_minimal_witness(self):
-        f = verify("sd_point_shell_probe", n_max=3)
+        f = verify_all(["sd_point_shell_probe"], n_max=3)[0]
         assert f.status == "refuted"
         assert f.witness["n"] == 2
         assert f.witness["opens"] == [[], [0, 1]]
@@ -231,7 +225,7 @@ class TestVerify:
         assert sum(f.elapsed for f in findings) <= wall
 
     def test_json_dict_shape(self):
-        f = verify("t0_char", n_max=2)
+        f = verify_all(["t0_char"], n_max=2)[0]
         doc = f.to_json_dict()
         assert "elapsed" not in doc
         assert doc["theorem"] == "t0_char"
@@ -471,7 +465,7 @@ class TestImplicationMatrix:
     def test_counterexample_replays(self):
         m = implication_matrix(3, ["C0", "CR"])
         assert not m.implies("C0", "CR")
-        w = m.witness("C0", "CR")
+        w = m.counterexamples.get(("C0", "CR"))
         top = alexandrov(decode_preorder(w["n"], w["encoding"]))
         ctx = SpaceContext(top)
         assert check_space(top, "C0", DEFINITIONAL, ctx).verdict
@@ -479,7 +473,7 @@ class TestImplicationMatrix:
 
     def test_witness_is_minimal(self):
         m = implication_matrix(4, ["C0", "CR"])
-        w = m.witness("C0", "CR")
+        w = m.counterexamples.get(("C0", "CR"))
         # exhaustively confirm nothing smaller violates the pair
         for n in range(w["n"] + 1):
             for pre in enumerate_preorders(n):
