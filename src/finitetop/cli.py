@@ -41,7 +41,8 @@ from .core import (
 )
 from .dynamics import classify_space, is_anosov_type
 from .enumerate import (
-    MAX_POINTS,
+    MAX_CLASS_POINTS,
+    MAX_LABELED_POINTS,
     SizeError,
     _REGISTRY,
     count_topologies,
@@ -313,10 +314,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             for top in enumerate_topologies(args.n, up_to_iso=args.up_to_iso):
                 doc = {"points": top.n, "opens": [_set_list(u) for u in top.opens]}
                 sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-        elif args.up_to_iso:
-            sys.stdout.write(f"{sum(1 for _ in enumerate_topologies(args.n, up_to_iso=True))}\n")
         else:
-            sys.stdout.write(f"{count_topologies(args.n)}\n")
+            sys.stdout.write(f"{count_topologies(args.n, up_to_iso=args.up_to_iso)}\n")
     except SizeError as exc:
         sys.stderr.write(f"{exc}\n")
         return EXIT_USAGE
@@ -346,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the theorem harness")
     p_verify.add_argument("theorem", help='theorem id or "all"')
     p_verify.add_argument("--n-max", type=int, default=5, dest="n_max",
-                          help="carrier-size cap for the sweep (default 5)")
+                          help=f"carrier-size cap for the sweep, at most {MAX_CLASS_POINTS} (default 5)")
     p_verify.add_argument("--jobs", type=int, default=1,
                           help="worker processes for the space sweep, at least 1 (default 1)")
     p_verify.add_argument("--timings", action="store_true",
@@ -358,7 +357,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_hasse.set_defaults(handler=_cmd_hasse)
 
     p_enum = sub.add_parser("enumerate", help="count or stream all labeled topologies")
-    p_enum.add_argument("n", type=int, help=f"carrier size, at most {MAX_POINTS}")
+    p_enum.add_argument("n", type=int,
+                        help=f"carrier size: at most {MAX_CLASS_POINTS} for counts and with "
+                             f"--up-to-iso, at most {MAX_LABELED_POINTS} for the labeled --emit stream")
     group = p_enum.add_mutually_exclusive_group()
     group.add_argument("--count-only", action="store_true", dest="count_only",
                        help="print the count (default)")

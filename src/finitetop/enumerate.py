@@ -4,8 +4,11 @@ One enumerator produces every labeled topology on a small carrier: a
 preorder backtracker that grows a reflexive-transitive relation matrix cell
 by cell with incremental closure.  The tests check its stream against an
 independent open-family backtracker kept with them.  Classes up to
-relabeling come from the preorder stream by orbit marking, one
-least-encoded representative per class with its orbit size.
+relabeling are generated, not found in that stream (finitetop.generate),
+one least-encoded representative per class with its orbit size; the tests
+keep orbit marking over the labeled stream as the reference route.  The
+labeled routes stop at MAX_LABELED_POINTS, the class routes at
+MAX_CLASS_POINTS.
 
 On top of the enumerator sits a registry of theorems: every order
 characterization, implication chain, finite collapse, transfer law, and
@@ -27,8 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import permutations
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from .axioms import (
@@ -59,7 +61,10 @@ from .dynamics import (
 )
 from .order import _down_closure, comparability_components, is_pre_chain
 
-MAX_POINTS = 7
+# the labeled routes walk every labeled preorder (9,535,241 on 7 points); the
+# class routes generate the relabeling classes (35,979 on 8 points)
+MAX_LABELED_POINTS = 7
+MAX_CLASS_POINTS = 8
 
 
 class SizeError(ValueError):
@@ -70,11 +75,11 @@ class SizeTooLargeError(SizeError):
     """Raised when an enumeration request exceeds the supported carrier size."""
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, cap: int = MAX_LABELED_POINTS) -> None:
     if n < 0:
         raise SizeError("carrier size must be nonnegative")
-    if n > MAX_POINTS:
-        raise SizeTooLargeError(f"carrier size {n} exceeds the supported maximum {MAX_POINTS}")
+    if n > cap:
+        raise SizeTooLargeError(f"carrier size {n} exceeds the supported maximum {cap}")
 
 
 # ---------------------------------------------------------------------------
@@ -177,79 +182,45 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
         yield Preorder(n, rows)
 
 
-@cache
-def _relabel_tables(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """Per permutation p of range(n), identity first: p and its row table.
-
-    The table maps a row mask to the row of the relabeled preorder as it
-    sits in an encoding, MSB first: bit n-1-j of table[mask] is bit p[j] of
-    mask.  Built on first use of each n.
-    """
-    tables = []
-    for perm in permutations(range(n)):
-        table = []
-        for mask in range(1 << n):
-            bits = 0
-            for j in perm:
-                bits = bits << 1 | (mask >> j & 1)
-            table.append(bits)
-        tables.append((perm, tuple(table)))
-    return tuple(tables)
-
+# ---------------------------------------------------------------------------
+# relabeling classes
+#
+# The class routes import finitetop.generate where they first run, so that
+# importing the package, which compiles its source where bytecode is not
+# cached, does not compile the generator.
 
 # the relabeling classes of one size: (up-rows, orbit size) per class
 _Classes = list[tuple[tuple[int, ...], int]]
-
-
-def _preorder_classes(n: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (up-rows, orbit size) for each relabeling class of preorders.
-
-    Each class appears once, as its least-encoded member, in ascending
-    encoding order, so the orbit sizes sum to the labeled count.  Orbit
-    marking: the labeled preorders come in ascending order, and the first
-    member of an orbit met is its least; the rest of its orbit is put in
-    ``pending`` and dropped from it, unyielded, when the sweep reaches it.
-    """
-    tables = _relabel_tables(n)
-    identity = tables[0][1]
-    pending: set[int] = set()
-    for rows in _preorder_rows(n):
-        code = 0
-        for row in rows:
-            code = code << n | identity[row]
-        if code in pending:
-            pending.remove(code)
-            continue
-        orbit = set()
-        for perm, table in tables:
-            image = 0
-            for x in perm:
-                image = image << n | table[rows[x]]
-            orbit.add(image)
-        orbit.remove(code)
-        pending |= orbit
-        yield rows, len(orbit) + 1
 
 
 def enumerate_topologies(n: int, up_to_iso: bool = False) -> Iterator[FiniteTopology]:
     """Every labeled topology on n points via the preorder correspondence.
 
     With up_to_iso=True only canonical representatives (least encoding in
-    each relabeling orbit) are yielded, found by orbit marking.
+    each relabeling class) are yielded, ascending, by generation.
     """
-    _check_size(n)
     if up_to_iso:
-        for rows, _ in _preorder_classes(n):
+        _check_size(n, MAX_CLASS_POINTS)
+        from .generate import _poset_levels, _size_classes
+
+        for rows, _ in _size_classes(n, _poset_levels(n)):
             yield alexandrov(Preorder(n, rows))
         return
     for pre in enumerate_preorders(n):
         yield alexandrov(pre)
 
 
-def count_topologies(n: int) -> int:
-    """Number of topologies (equivalently preorders) on n labeled points."""
-    _check_size(n)
-    return sum(1 for _ in _preorder_rows(n))
+def count_topologies(n: int, up_to_iso: bool = False) -> int:
+    """Number of topologies (equivalently preorders) on n labeled points.
+
+    The sum of the orbit sizes of the relabeling classes, or with
+    up_to_iso=True the number of classes.
+    """
+    _check_size(n, MAX_CLASS_POINTS)
+    from .generate import _poset_levels, _size_classes
+
+    classes = _size_classes(n, _poset_levels(n))
+    return len(classes) if up_to_iso else sum(size for _, size in classes)
 
 
 # ---------------------------------------------------------------------------
@@ -877,11 +848,11 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     Space-scope theorems sweep all topologies on up to n_max points, pair
     scope all ordered pairs with combined size at most min(n_max, 5), and
     partition scope all partitions of all spaces on up to min(n_max, 4)
-    points.  The relabeling classes of each size are found once per call
-    and all three scopes sweep them, one least-encoded representative per
-    class, with weights that make the counts those of the labeled sweep: a
-    space, and each of its partitions, weighs its orbit size, and a pair
-    orbit(left) * orbit(right).  Every theorem is invariant under relabeling
+    points.  The relabeling classes of every size come from one build per
+    call, and all three scopes sweep them, one least-encoded representative
+    per class, with weights that make the counts those of the labeled
+    sweep: a space, and each of its partitions, weighs its orbit size, and
+    a pair orbit(left) * orbit(right).  Every theorem is invariant under relabeling
     (a pair theorem under relabeling each summand on its own, a partition
     theorem under one permutation of the space and its blocks), so the
     least refuting labeled case is made of representatives and the
@@ -897,12 +868,14 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     with its closure table, for this call and shares it as a summand by all
     pairs.  Nothing is cached across calls.
     """
-    _check_size(n_max)
+    _check_size(n_max, MAX_CLASS_POINTS)
     chosen = _space_theorem_ids(ids)
     caps = {"space": n_max, "pair": min(n_max, 5), "partition": min(n_max, 4)}
     scope_ids = {scope: [tid for tid in chosen if _REGISTRY[tid].scope == scope] for scope in caps}
     largest = max((caps[scope] for scope in caps if scope_ids[scope]), default=-1)
-    classes = [list(_preorder_classes(n)) for n in range(largest + 1)]
+    from .generate import _preorder_classes
+
+    classes = _preorder_classes(largest)
     results: dict[str, tuple[int, dict | None, float]] = {}
     for scope, cap in caps.items():
         if scope_ids[scope]:
@@ -965,15 +938,17 @@ def implication_matrix(n_max: int = 5, axioms: Iterable[str] | None = None) -> I
     relabeling class, which is where the least counterexample of any orbit
     sits, and counts each by its orbit size.
     """
-    _check_size(n_max)
+    _check_size(n_max, MAX_CLASS_POINTS)
     chosen = tuple(axioms) if axioms is not None else tuple(AXIOMS)
     for a in chosen:
         if a not in AXIOMS:
             raise KeyError(f"unknown axiom {a!r}")
+    from .generate import _preorder_classes
+
     counterexamples: dict = {}
     checked = 0
-    for n in range(n_max + 1):
-        for size, (ctx,) in _space_cases(n, _preorder_classes(n)):
+    for n, reps in enumerate(_preorder_classes(n_max)):
+        for size, (ctx,) in _space_cases(n, reps):
             checked += size
             verdicts = {a: check_space(ctx.top, a, DEFINITIONAL, ctx).verdict for a in chosen}
             payload = None

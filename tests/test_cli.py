@@ -72,6 +72,8 @@ def _space_docs(draw):
 SEED_VERIFY_N5_SHA256 = "f187d1f5f563a0545b921c3eecf5d06064ce1d9e5b5e765e7e747a73d54863fc"
 # sha256 of `verify all --n-max 6 --jobs 2` stdout; n = 6 is the first size the worker pool runs
 VERIFY_N6_SHA256 = "bca8868f24d5e53968daadea173c37835a70d87d24e809c04353d0671608fb9a"
+# sha256 of `verify all --n-max 7 --jobs 2` stdout, first recorded from the orbit-marking sweep
+VERIFY_N7_SHA256 = "c0b74392cade5c003890df56d2a260b0c0c59960d33d8638282911e6f72e427e"
 
 SIERPINSKI_DOC = {"points": 2, "opens": [[], [1], [0, 1]]}
 GOLDEN4_DOC = {"points": 4, "opens": [[], [2], [0, 1], [0, 1, 2], [0, 1, 2, 3]],
@@ -313,8 +315,9 @@ class TestVerifyCommand:
         assert "elapsed" in doc["findings"][0]
 
     def test_oversize_exit2(self):
-        rc, _, _ = run_cli("verify", "t0_char", "--n-max", "8")
+        rc, _, err = run_cli("verify", "t0_char", "--n-max", "9")
         assert rc == 2
+        assert err.splitlines() == ["carrier size 9 exceeds the supported maximum 8"]
 
     def test_negative_size_exit2(self):
         rc, out, err = run_cli("verify", "all", "--n-max", "-1")
@@ -383,8 +386,11 @@ class TestEnumerateCommand:
         assert len(out.splitlines()) == 9
 
     def test_oversize_exit2(self):
-        rc, _, _ = run_cli("enumerate", "8")
-        assert rc == 2
+        # counts and classes go to 8 points, the labeled stream to 7
+        for args, cap in ((("9",), 8), (("9", "--up-to-iso"), 8), (("8", "--emit"), 7)):
+            rc, out, err = run_cli("enumerate", *args)
+            assert rc == 2 and out == "", args
+            assert err.splitlines() == [f"carrier size {args[0]} exceeds the supported maximum {cap}"], args
 
     def test_negative_size_exit2(self):
         for flags in ((), ("--emit",), ("--up-to-iso",)):
@@ -415,6 +421,12 @@ class TestDeterminism:
         rc, out, _ = run_cli("verify", "all", "--n-max", "6", "--jobs", "2")
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N6_SHA256
+
+    @pytest.mark.slow
+    def test_verify_n7_matches_reference(self):
+        rc, out, _ = run_cli("verify", "all", "--n-max", "7", "--jobs", "2")
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_N7_SHA256
 
     def test_verify_byte_identical_across_jobs(self):
         runs = [run_cli("verify", "all", "--n-max", "3", *jobs) for jobs in ((), ("--jobs", "2"), ())]

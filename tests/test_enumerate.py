@@ -6,6 +6,8 @@ import time
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finitetop import cli
 from finitetop.axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
@@ -13,13 +15,13 @@ from finitetop.core import Preorder, alexandrov, bit_indices, disjoint_union
 from finitetop.decomp import Decomposition, iter_partitions, tau_F
 from finitetop.enumerate import (
     _REGISTRY,
-    MAX_POINTS,
+    MAX_CLASS_POINTS,
+    MAX_LABELED_POINTS,
     ImplicationMatrix,
     SizeTooLargeError,
     Theorem,
     _pair_payload,
     _partition_payload,
-    _preorder_classes,
     _space_payload,
     _sweep,
     count_topologies,
@@ -31,12 +33,16 @@ from finitetop.enumerate import (
     theorems,
     verify_all,
 )
+from finitetop.generate import _least_encoding, _poset_levels, _preorder_classes, _size_classes
 
-from oracles import count_open_families, enumerate_open_families
+from oracles import count_open_families, enumerate_open_families, preorder_classes_by_marking
 
-LABELED = (1, 1, 4, 29, 355, 6942, 209527)
+# OEIS A000798: topologies (preorders) on n labeled points, n = 0..8
+LABELED = (1, 1, 4, 29, 355, 6942, 209527, 9535241, 642779354)
 # OEIS A001930: topologies up to relabeling
-UNLABELED = (1, 1, 3, 9, 33, 139, 718)
+UNLABELED = (1, 1, 3, 9, 33, 139, 718, 4535, 35979)
+# OEIS A000112: T0 posets up to relabeling
+POSETS = (1, 1, 2, 5, 16, 63, 318, 2045, 16999)
 
 
 def topology_encoding(top) -> int:
@@ -47,19 +53,54 @@ def topology_encoding(top) -> int:
     return code
 
 
-def canonical_preorder_key(pre: Preorder) -> int:
-    """Least preorder encoding over all relabelings of the points, by brute force."""
+def _relabeled_encodings(pre: Preorder) -> list[int]:
+    """The encoding of every relabeling of the points, identity first, by brute force."""
     n = pre.n
-    best = None
+    codes = []
     for perm in permutations(range(n)):
         code = 0
         for i in range(n):
             row = pre.up[perm[i]]
             for j in range(n):
                 code = code << 1 | (row >> perm[j] & 1)
-        if best is None or code < best:
-            best = code
-    return best if best is not None else 0
+        codes.append(code)
+    return codes
+
+
+def canonical_preorder_key(pre: Preorder) -> int:
+    """Least preorder encoding over all relabelings of the points, by brute force."""
+    return min(_relabeled_encodings(pre))
+
+
+def _pairs(n: int, max_size: int):
+    return st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=max_size)
+
+
+@st.composite
+def _preorders(draw) -> Preorder:
+    """A preorder on 5-7 points, relabeled at random.
+
+    Its base is chains, an antichain, layers (every point of a level below
+    every point of the next) or random relations; a few random relations
+    and merged classes go on top.  Equal chains and layers have many
+    automorphisms, and merged classes and layers many twins.
+    """
+    n = draw(st.integers(5, 7))
+    shape = draw(st.sampled_from(["chains", "antichain", "layers", "random"]))
+    pairs = []
+    if shape == "chains":
+        cuts = draw(st.sets(st.integers(1, n - 1)))
+        pairs = [(x, x + 1) for x in range(n - 1) if x + 1 not in cuts]
+    elif shape == "layers":
+        level = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        pairs = [(x, y) for x in range(n) for y in range(n) if level[y] == level[x] + 1]
+    elif shape == "random":
+        pairs = draw(_pairs(n, 2 * n))
+    pairs += draw(_pairs(n, 2))
+    merged = draw(_pairs(n, 2))
+    pairs += merged + [(y, x) for x, y in merged]
+    perm = draw(st.permutations(range(n)))
+    return Preorder.from_pairs(n, [(perm[x], perm[y]) for x, y in pairs])
 
 
 class TestEncodings:
@@ -91,6 +132,28 @@ class TestEncodings:
                 assert canonical_preorder_key(Preorder(3, tuple(rows))) == key
 
 
+class TestLeastEncoding:
+    """The pruned least-encoding search against brute force over all n! relabelings."""
+
+    @staticmethod
+    def _assert_matches_brute_force(pre: Preorder) -> None:
+        codes = _relabeled_encodings(pre)
+        code, rows, aut = _least_encoding(pre.up)
+        assert code == min(codes) == preorder_encoding(Preorder(pre.n, rows)), pre
+        # |Aut|: the relabelings that give the preorder back
+        assert aut == codes.count(codes[0]), pre
+
+    def test_every_preorder_up_to_4_points(self):
+        for n in range(5):
+            for pre in enumerate_preorders(n):
+                self._assert_matches_brute_force(pre)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(_preorders())
+    def test_random_preorders_on_5_to_7_points(self, pre):
+        self._assert_matches_brute_force(pre)
+
+
 class TestEnumeration:
     def test_labeled_counts_both_routes(self):
         for n in range(5):
@@ -113,7 +176,7 @@ class TestEnumeration:
     def test_unlabeled_counts(self):
         for n in range(5):
             got = sum(1 for _ in enumerate_topologies(n, up_to_iso=True))
-            assert got == UNLABELED[n]
+            assert got == count_topologies(n, up_to_iso=True) == UNLABELED[n]
 
     def test_iso_representatives_are_canonical(self):
         for pre in enumerate_preorders(3):
@@ -123,11 +186,16 @@ class TestEnumeration:
                 break
 
     def test_size_cap(self):
-        for fn in (count_topologies, count_open_families):
+        # the labeled routes walk every labeled preorder; the class routes generate
+        assert (MAX_LABELED_POINTS, MAX_CLASS_POINTS) == (7, 8)
+        labeled = (count_open_families, lambda n: next(enumerate_preorders(n)),
+                   lambda n: next(enumerate_topologies(n)))
+        by_class = (count_topologies, lambda n: count_topologies(n, up_to_iso=True),
+                    lambda n: next(enumerate_topologies(n, up_to_iso=True)),
+                    lambda n: verify_all(["t0_char"], n_max=n), implication_matrix)
+        for fn, cap in [*((fn, 7) for fn in labeled), *((fn, 8) for fn in by_class)]:
             with pytest.raises(SizeTooLargeError):
-                fn(MAX_POINTS + 1)
-        with pytest.raises(SizeTooLargeError):
-            next(enumerate_preorders(8))
+                fn(cap + 1)
         with pytest.raises(ValueError):
             count_topologies(-1)
 
@@ -371,20 +439,38 @@ class TestRelabeling:
                     assert outcome(_relabel(pre, perm)) == want, (n, preorder_encoding(pre), perm)
 
 
+def _assert_generated_counts(cap: int) -> None:
+    """Poset levels, class counts and orbit sums against OEIS through cap points."""
+    posets = _poset_levels(cap)
+    assert [len(level) for level in posets] == list(POSETS[:cap + 1])
+    classes = [_size_classes(n, posets) for n in range(cap + 1)]
+    assert [len(reps) for reps in classes] == list(UNLABELED[:cap + 1])
+    assert [sum(size for _, size in reps) for reps in classes] == list(LABELED[:cap + 1])
+
+
 class TestClasses:
     """The class sweep against labeled sweeps and the brute-force canonical key."""
 
     def test_counts_and_orbit_sums(self):
-        for n in range(7):
-            classes = list(_preorder_classes(n))
-            assert len(classes) == UNLABELED[n]
-            assert sum(size for _, size in classes) == LABELED[n]
+        _assert_generated_counts(7)
+
+    @pytest.mark.slow
+    def test_counts_and_orbit_sums_at_8(self):
+        _assert_generated_counts(8)
+
+    def test_generation_matches_orbit_marking(self):
+        """Same rows, same order and same orbit sizes as the reference route."""
+        for n, reps in enumerate(_preorder_classes(6)):
+            assert reps == preorder_classes_by_marking(n), n
+
+    @pytest.mark.slow
+    def test_generation_matches_orbit_marking_at_7(self):
+        assert _preorder_classes(7)[7] == preorder_classes_by_marking(7)
 
     def test_representatives_are_canonical_keys(self):
-        for n in range(5):
+        for n, classes in enumerate(_preorder_classes(4)):
             want = [pre.up for pre in enumerate_preorders(n)
                     if preorder_encoding(pre) == canonical_preorder_key(pre)]
-            classes = list(_preorder_classes(n))
             assert [rows for rows, _ in classes] == want
             for rows, size in classes:
                 pre = Preorder(n, rows)
