@@ -17,51 +17,38 @@ plus an optional unique "labels" list.  Reports are emitted on stdout as
 UTF-8 JSON with sorted keys; classify and verify output is byte-identical
 across runs and --jobs settings.  Exit codes: 0 success, 1 an asserted
 theorem was refuted, 2 usage or parse errors, 3 mathematically invalid
-input (the witness goes to stderr).
+input (the witness goes to stderr), 141 stdout was closed before the
+output was written.
+
+Each subcommand imports the package modules it runs where it starts, so
+importing this module loads none of them: hasse loads only core, and
+classify never loads the enumerator.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import os
 import sys
 from functools import cache
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from .axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
-from .core import (
-    FiniteTopology,
-    Preorder,
-    TopologyError,
-    alexandrov,
-    bit_indices,
-    class_poset,
-    validate_topology,
-)
-from .dynamics import classify_space, is_anosov_type
-from .enumerate import (
-    MAX_CLASS_POINTS,
-    MAX_LABELED_POINTS,
-    SizeError,
-    _REGISTRY,
-    count_topologies,
-    enumerate_topologies,
-    verify_all,
-)
+if TYPE_CHECKING:
+    from .core import FiniteTopology, TopologyError
 
 EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_USAGE = 2
 EXIT_INVALID = 3
+# what a shell reports for a process that SIGPIPE ended (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 # classify and hasse build full subset tables, so cap document size
 MAX_DOC_POINTS = 12
 
 # the properties of docs/spacedoc.schema.json, which allows no others
 _DOC_KEYS = frozenset({"points", "opens", "leq", "closure", "labels"})
-
-_MODE_KEYS = {DEFINITIONAL: "def", CHARACTERIZED: "char"}
 
 
 class DocumentError(ValueError):
@@ -117,6 +104,8 @@ def parse_space_doc(doc: Any) -> tuple[FiniteTopology, list[str] | None]:
     DocumentError; a well-formed opens family that violates the topology
     axioms raises TopologyError.
     """
+    from .core import Preorder, alexandrov, validate_topology
+
     if not isinstance(doc, dict):
         raise DocumentError("space document must be a JSON object")
     unknown = sorted(set(doc) - _DOC_KEYS)
@@ -170,14 +159,16 @@ def _emit(doc: Any) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _set_list(bits: int) -> list[int]:
-    return sorted(bit_indices(bits))
-
-
 # ---------------------------------------------------------------------------
 # classify
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    import dataclasses
+
+    from .axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
+    from .core import bit_indices, class_poset
+    from .dynamics import classify_space, is_anosov_type
+
     top, labels = parse_space_doc(_load_json(args.file))
     modes = {
         "def": (DEFINITIONAL,),
@@ -192,13 +183,14 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         if unknown:
             raise DocumentError(f"unknown axioms: {', '.join(unknown)}")
 
+    mode_keys = {DEFINITIONAL: "def", CHARACTERIZED: "char"}
     ctx = SpaceContext(top)
     axioms_doc = {}
     for axiom in chosen:
         entry: dict[str, Any] = {}
         for mode in modes:
             report = check_space(top, axiom, mode, ctx)
-            key = _MODE_KEYS[mode]
+            key = mode_keys[mode]
             entry[key] = report.verdict
             if report.witness is not None:
                 entry[key + "_witness"] = report.witness
@@ -211,7 +203,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "point": x,
             "label": labels[x] if labels else None,
             "height": ctx.heights_pp[x],
-            "class": _set_list(ctx.cls[x]),
+            "class": list(bit_indices(ctx.cls[x])),
             "dynamics": dataclasses.asdict(flags[x]),
         })
 
@@ -219,12 +211,12 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "points": top.n,
         "labels": labels,
         "mode": args.mode,
-        "opens": [_set_list(u) for u in top.opens],
+        "opens": [list(bit_indices(u)) for u in top.opens],
         "axioms": axioms_doc,
         "heights": {"per_point": list(ctx.heights_pp), "space": ctx.ht},
         "class_space": {
             "count": ctx.class_ctx[0].n,
-            "classes": [_set_list(b) for b in class_poset(ctx.pre).blocks],
+            "classes": [list(bit_indices(b)) for b in class_poset(ctx.pre).blocks],
         },
         "dynamics": {
             "points": points_doc,
@@ -239,17 +231,19 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-def _resolve_theorem(tid: str) -> str:
-    if tid in _REGISTRY:
+def _resolve_theorem(tid: str, registry: dict) -> str:
+    if tid in registry:
         return tid
     folded = tid.lower()
-    matches = [t for t in _REGISTRY if t.lower() == folded]
+    matches = [t for t in registry if t.lower() == folded]
     if len(matches) == 1:
         return matches[0]
     raise KeyError(tid)
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .enumerate import _REGISTRY, SizeError, verify_all
+
     if args.jobs < 1:
         sys.stderr.write(f"--jobs must be at least 1, got {args.jobs}\n")
         return EXIT_USAGE
@@ -257,7 +251,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ids = None
     else:
         try:
-            ids = [_resolve_theorem(args.theorem)]
+            ids = [_resolve_theorem(args.theorem, _REGISTRY)]
         except KeyError:
             sys.stderr.write(f"unknown theorem {args.theorem!r}; "
                              f"known ids: {', '.join(sorted(_REGISTRY))}\n")
@@ -285,6 +279,8 @@ def _dot_escape(text: str) -> str:
 
 
 def _cmd_hasse(args: argparse.Namespace) -> int:
+    from .core import bit_indices, class_poset
+
     top, labels = parse_space_doc(_load_json(args.file))
     cp = class_poset(top.specialization())
     k = cp.n
@@ -309,10 +305,13 @@ def _cmd_hasse(args: argparse.Namespace) -> int:
 # enumerate
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
+    from .core import bit_indices
+    from .enumerate import SizeError, count_topologies, enumerate_topologies
+
     try:
         if args.emit:
             for top in enumerate_topologies(args.n, up_to_iso=args.up_to_iso):
-                doc = {"points": top.n, "opens": [_set_list(u) for u in top.opens]}
+                doc = {"points": top.n, "opens": [list(bit_indices(u)) for u in top.opens]}
                 sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
         else:
             sys.stdout.write(f"{count_topologies(args.n, up_to_iso=args.up_to_iso)}\n")
@@ -328,6 +327,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 @cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every call of main."""
+    from .core import MAX_CLASS_POINTS, MAX_LABELED_POINTS
+
     parser = argparse.ArgumentParser(
         prog="finitetop",
         description="Classify finite topological spaces and verify their order-theoretic laws.",
@@ -373,19 +374,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _invalid_witness(exc: TopologyError) -> dict:
+    from .core import bit_indices
+
     witness = getattr(exc, "witness", None)
     doc: dict[str, Any] = {"error": type(exc).__name__, "message": str(exc)}
     if witness is not None:
-        doc["witness"] = [_set_list(part) for part in witness]
+        doc["witness"] = [list(bit_indices(part)) for part in witness]
     return doc
 
 
-def main(argv: list[str] | None = None) -> int:
+def _dispatch(argv: list[str] | None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    from .core import TopologyError
+
     try:
         return args.handler(args)
     except DocumentError as exc:
@@ -394,6 +399,20 @@ def main(argv: list[str] | None = None) -> int:
     except TopologyError as exc:
         sys.stderr.write(json.dumps(_invalid_witness(exc), sort_keys=True) + "\n")
         return EXIT_INVALID
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _dispatch(argv)
+        # write out what stdout buffers while a closed pipe can still be reported
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone; send what stdout still buffers to devnull so the
+        # interpreter's flush at exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+    return code
 
 
 if __name__ == "__main__":

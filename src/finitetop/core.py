@@ -17,6 +17,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
+# the enumeration caps, kept here so the command line can state them
+# without importing the enumerator: the labeled routes walk every labeled
+# preorder (9,535,241 on 7 points); the class routes generate the
+# relabeling classes (35,979 on 8 points)
+MAX_LABELED_POINTS = 7
+MAX_CLASS_POINTS = 8
+
 
 class TopologyError(ValueError):
     """An open-set family violates the topology axioms."""

@@ -42,6 +42,8 @@ from .axioms import (
     point_mask,
 )
 from .core import (
+    MAX_CLASS_POINTS,
+    MAX_LABELED_POINTS,
     FiniteTopology,
     Preorder,
     alexandrov,
@@ -60,11 +62,6 @@ from .dynamics import (
     saddle_equivalences_check,
 )
 from .order import _down_closure, comparability_components, is_pre_chain
-
-# the labeled routes walk every labeled preorder (9,535,241 on 7 points); the
-# class routes generate the relabeling classes (35,979 on 8 points)
-MAX_LABELED_POINTS = 7
-MAX_CLASS_POINTS = 8
 
 
 class SizeError(ValueError):
@@ -186,7 +183,7 @@ def enumerate_preorders(n: int) -> Iterator[Preorder]:
 # relabeling classes
 #
 # The class routes import finitetop.generate where they first run, so that
-# importing the package, which compiles its source where bytecode is not
+# importing this module, which compiles its source where bytecode is not
 # cached, does not compile the generator.
 
 # the relabeling classes of one size: (up-rows, orbit size) per class

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitetop.cli import MAX_DOC_POINTS, DocumentError, parse_space_doc
+from finitetop.cli import EXIT_BROKEN_PIPE, MAX_DOC_POINTS, DocumentError, parse_space_doc
 from finitetop.core import TopologyError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -401,6 +402,36 @@ class TestEnumerateCommand:
     def test_flags_mutually_exclusive(self):
         rc, _, _ = run_cli("enumerate", "2", "--emit", "--count-only")
         assert rc == 2
+
+
+class TestBrokenPipe:
+    # stdout block-buffered, as it is on a pipe by default
+    ENV = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+    def test_reader_closes_after_first_line(self):
+        proc = subprocess.Popen([sys.executable, "-m", "finitetop.cli", "enumerate", "6", "--emit"],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=self.ENV)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_BROKEN_PIPE
+        assert json.loads(first)["points"] == 6
+        assert err == b""
+
+    @pytest.mark.parametrize("args", [("hasse", "-"), ("verify", "all", "--n-max", "2"), ("--help",)])
+    def test_reader_gone_before_the_output(self, args):
+        # output small enough to sit in the buffer surfaces at the final flush
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "finitetop.cli", *args],
+                                  input=json.dumps(SIERPINSKI_DOC).encode(),
+                                  stdout=write_end, stderr=subprocess.PIPE, env=self.ENV,
+                                  timeout=60)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b""), args
 
 
 class TestDeterminism:
