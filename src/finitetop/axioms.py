@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .core import FiniteTopology, Preorder, bit_indices, class_poset
+from .core import FiniteTopology, Preorder, bit_indices, class_poset, union_table
 from .order import (
-    _down_closure,
     bottoms_mask,
     bouquet_root,
     heights,
@@ -47,15 +46,6 @@ DEFINITIONAL = "definitional"
 CHARACTERIZED = "characterized"
 
 
-def _union_table(rows: tuple[int, ...]) -> list[int]:
-    """table[a] is the union of rows[x] over the points x of the bitmap a."""
-    table = [0] * (1 << len(rows))
-    for a in range(1, len(table)):
-        low = a & -a
-        table[a] = table[a ^ low] | rows[low.bit_length() - 1]
-    return table
-
-
 class SpaceContext:
     """Per-space cache of derived data shared by axiom and theorem checks.
 
@@ -63,7 +53,9 @@ class SpaceContext:
     kernels (themselves computed directly from the family) using the finite
     identities closure(A) = union of closures of points of A and
     kernel(A) = union of kernels; tests cross-check the tables against the
-    direct intersection-of-supersets definitions.
+    direct intersection-of-supersets definitions.  The up and down tables
+    are the order side's counterparts, built from the preorder's rows: the
+    least upset and the least downset holding each subset.
 
     The context also memoizes results for as long as it lives: ``masks``
     holds each ``point_mask`` by (axiom, mode), ``reports`` each
@@ -96,6 +88,14 @@ class SpaceContext:
         return self.pre.down
 
     @cached_property
+    def up_t(self) -> list[int]:
+        return union_table(self.up)
+
+    @cached_property
+    def down_t(self) -> list[int]:
+        return union_table(self.down)
+
+    @cached_property
     def cls(self) -> tuple[int, ...]:
         return self.pre.cls
 
@@ -114,11 +114,11 @@ class SpaceContext:
 
     @cached_property
     def closure_t(self) -> list[int]:
-        return _union_table(self.closure1)
+        return union_table(self.closure1)
 
     @cached_property
     def kernel_t(self) -> list[int]:
-        return _union_table(self.kernel1)
+        return union_table(self.kernel1)
 
     @cached_property
     def minimal(self) -> int:
@@ -584,30 +584,28 @@ def _c_t12_space(ctx: SpaceContext) -> dict | None:
     return None
 
 
-def _fd_form_holds(down: tuple[int, ...], n: int) -> int | None:
+def _fd_form_holds(down_t: list[int]) -> int | None:
     """First subset (by bitmap) not of the form closed-minus-downset, else None.
 
-    C = F - D with F, D downsets forces F = down(C) and D = F - C, so it
-    suffices to check that canonical choice.
+    down_t is the down table of the order.  C = F - D with F, D downsets
+    forces F = down(C) and D = F - C, so it suffices to check that canonical
+    choice: D is a downset iff its own down closure misses C.
     """
-    for a in range(1 << n):
-        d = _down_closure(down, a) & ~a
-        # d is a downset iff no element of d sits above a point of a
-        if any(down[y] & a for y in bit_indices(d)):
+    for a, down_a in enumerate(down_t):
+        if down_t[down_a & ~a] & a:
             return a
     return None
 
 
 def _c_t13_space(ctx: SpaceContext) -> dict | None:
-    bad = _fd_form_holds(ctx.down, ctx.n)
+    bad = _fd_form_holds(ctx.down_t)
     if bad is None:
         return None
     return {"subset": sorted(bit_indices(bad))}
 
 
 def _c_s13_space(ctx: SpaceContext) -> dict | None:
-    qpre = class_poset(ctx.pre).as_preorder()
-    bad = _fd_form_holds(qpre.down, qpre.n)
+    bad = _fd_form_holds(union_table(class_poset(ctx.pre).as_preorder().down))
     if bad is None:
         return None
     return {"class_subset": sorted(bit_indices(bad))}
@@ -710,13 +708,7 @@ def _c_wc0_space(ctx: SpaceContext) -> dict | None:
 
 def _c_lambda_space(ctx: SpaceContext) -> dict | None:
     minimal = ctx.minimal
-    up, down = ctx.up, ctx.down
-    for a in range(1 << ctx.n):
-        up_a = 0
-        down_a = 0
-        for x in bit_indices(a):
-            up_a |= up[x]
-            down_a |= down[x]
+    for a, (up_a, down_a) in enumerate(zip(ctx.up_t, ctx.down_t)):
         if up_a & down_a != a:
             continue
         shell = down_a & ~a

@@ -32,6 +32,7 @@ import json
 import os
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -155,16 +156,46 @@ def parse_space_doc(doc: Any) -> tuple[FiniteTopology, list[str] | None]:
     return alexandrov(Preorder.from_pairs(n, pairs)), labels
 
 
+def _dumps(obj: Any, newline: str = "\n") -> str:
+    """The text of ``json.dumps(obj, sort_keys=True, indent=2)``.
+
+    With an indent the standard library runs its pure-Python encoder; this
+    builds the same text with str.join and the C string escaper.  Dict keys
+    must be strings.  newline is the line break plus the indent of the
+    value's own line.
+    """
+    if type(obj) is int:
+        return int.__repr__(obj)
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]) + newline + "}"
+    return json.dumps(obj)
+
+
 def _emit(doc: Any) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_dumps(doc) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # classify
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    import dataclasses
-
     from .axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
     from .core import bit_indices, class_poset
     from .dynamics import classify_space, is_anosov_type
@@ -204,7 +235,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             "label": labels[x] if labels else None,
             "height": ctx.heights_pp[x],
             "class": list(bit_indices(ctx.cls[x])),
-            "dynamics": dataclasses.asdict(flags[x]),
+            "dynamics": dict(vars(flags[x])),
         })
 
     report_doc = {

@@ -61,6 +61,19 @@ def bit_indices(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def union_table(rows: Iterable[int]) -> list[int]:
+    """table[a] is the union of rows[x] over the points x of the bitmap a.
+
+    Built by doubling: the table of the first x rows covers the bitmaps
+    below 1 << x, and row x appends a copy of it with the row joined into
+    each entry, so every entry costs one union.
+    """
+    table = [0]
+    for row in rows:
+        table += [t | row for t in table]
+    return table
+
+
 def validate_topology(n: int, opens: Iterable[int]) -> FiniteTopology:
     """Check a family of subsets and return the canonical topology value.
 
@@ -189,9 +202,12 @@ class FiniteTopology:
         Returns the quotient topology on the classes together with the
         point -> class id mapping.  Class ids are assigned in order of the
         least member, so the result is canonical.  The quotient of the
-        quotient is discrete-classed: the construction is idempotent.
+        quotient is discrete-classed: the construction is idempotent, and a
+        T0 space is its own class space.
         """
         classes = self.point_classes
+        if all(m == 1 << x for x, m in enumerate(classes)):
+            return self, tuple(range(self.n))
         blocks: list[int] = []
         seen: set[int] = set()
         for x in range(self.n):
@@ -302,21 +318,8 @@ class Preorder:
 
 def alexandrov(pre: Preorder) -> FiniteTopology:
     """The topology whose opens are exactly the upsets of the preorder."""
-    n = pre.n
-    up = pre.up
-    opens = []
-    for s in range(1 << n):
-        r = s
-        ok = True
-        while r:
-            low = r & -r
-            if up[low.bit_length() - 1] & ~s:
-                ok = False
-                break
-            r ^= low
-        if ok:
-            opens.append(s)
-    return FiniteTopology(n, tuple(opens))
+    # s is an upset iff the union of up[x] over its points adds nothing to it
+    return FiniteTopology(pre.n, tuple(s for s, u in enumerate(union_table(pre.up)) if u == s))
 
 
 @dataclass(frozen=True)

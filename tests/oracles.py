@@ -8,14 +8,23 @@ topology, independent of the preorder backtracker in
 classes, independent of their generation in ``finitetop.enumerate``: it
 walks every labeled preorder and marks orbits, and the tests require the
 same rows, order and orbit sizes.
+
+The remaining functions are the loops that the subset tables replaced, kept
+as references: a table filled one bit at a time, the upset scan behind
+``alexandrov``, the two characterized subset scans that read the preorder's
+rows point by point, and the class space built from its blocks on every
+space.  The tests require the table-driven code to give the same tables,
+opens, witnesses and quotients.
 """
 from __future__ import annotations
 
 from itertools import permutations
 from typing import Iterator
 
-from finitetop.core import FiniteTopology
+from finitetop.axioms import SpaceContext
+from finitetop.core import FiniteTopology, Preorder, bit_indices
 from finitetop.enumerate import _check_size, _preorder_rows
+from finitetop.order import _down_closure
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
 
@@ -125,3 +134,83 @@ def preorder_classes_by_marking(n: int) -> list[tuple[tuple[int, ...], int]]:
         pending |= orbit
         classes.append((rows, len(orbit) + 1))
     return classes
+
+
+def union_table_by_bits(rows: tuple[int, ...]) -> list[int]:
+    """table[a] is the union of rows[x] over x in a, each entry from the one without a's lowest bit."""
+    table = [0] * (1 << len(rows))
+    for a in range(1, len(table)):
+        low = a & -a
+        table[a] = table[a ^ low] | rows[low.bit_length() - 1]
+    return table
+
+
+def alexandrov_by_scan(pre: Preorder) -> FiniteTopology:
+    """The upsets of the preorder, each subset tested point by point."""
+    n = pre.n
+    up = pre.up
+    opens = []
+    for s in range(1 << n):
+        r = s
+        ok = True
+        while r:
+            low = r & -r
+            if up[low.bit_length() - 1] & ~s:
+                ok = False
+                break
+            r ^= low
+        if ok:
+            opens.append(s)
+    return FiniteTopology(n, tuple(opens))
+
+
+def fd_form_holds_by_scan(down: tuple[int, ...], n: int) -> int | None:
+    """First subset (by bitmap) not of the form closed-minus-downset, else None."""
+    for a in range(1 << n):
+        d = _down_closure(down, a) & ~a
+        # d is a downset iff no element of d sits above a point of a
+        if any(down[y] & a for y in bit_indices(d)):
+            return a
+    return None
+
+
+def c_lambda_space_by_scan(ctx: SpaceContext) -> dict | None:
+    """The characterized lambda check with each subset's up and down sets from the rows."""
+    minimal = ctx.minimal
+    up, down = ctx.up, ctx.down
+    for a in range(1 << ctx.n):
+        up_a = 0
+        down_a = 0
+        for x in bit_indices(a):
+            up_a |= up[x]
+            down_a |= down[x]
+        if up_a & down_a != a:
+            continue
+        shell = down_a & ~a
+        if shell & ~minimal:
+            return {
+                "set": sorted(bit_indices(a)),
+                "shell": sorted(bit_indices(shell)),
+            }
+    return None
+
+
+def class_space_by_blocks(top: FiniteTopology) -> tuple[FiniteTopology, tuple[int, ...]]:
+    """The quotient on closure-equality classes, built from the blocks on every space."""
+    classes = top.point_classes
+    blocks: list[int] = []
+    seen: set[int] = set()
+    for x in range(top.n):
+        m = classes[x]
+        if m not in seen:
+            seen.add(m)
+            blocks.append(m)
+    mapping = tuple(blocks.index(classes[x]) for x in range(top.n))
+    q_opens: set[int] = set()
+    for u in top.opens:
+        mask = 0
+        for i, b in enumerate(blocks):
+            if b & u:
+                mask |= 1 << i
+        q_opens.add(mask)
+    return FiniteTopology(len(blocks), tuple(sorted(q_opens))), mapping

@@ -13,7 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitetop.cli import EXIT_BROKEN_PIPE, MAX_DOC_POINTS, DocumentError, parse_space_doc
+from finitetop.cli import (
+    EXIT_BROKEN_PIPE,
+    EXIT_OK,
+    EXIT_REFUTED,
+    MAX_DOC_POINTS,
+    DocumentError,
+    _dumps,
+    parse_space_doc,
+)
 from finitetop.core import TopologyError
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -88,6 +96,9 @@ def run_cli(*args: str, stdin: str | None = None):
         [sys.executable, "-m", "finitetop.cli", *args],
         input=stdin, capture_output=True, text=True,
     )
+    if args[0] in ("classify", "verify") and proc.returncode in (EXIT_OK, EXIT_REFUTED):
+        # every report the tests produce is the text json.dumps gives for it
+        assert proc.stdout == json.dumps(json.loads(proc.stdout), sort_keys=True, indent=2) + "\n"
     return proc.returncode, proc.stdout, proc.stderr
 
 
@@ -256,9 +267,18 @@ def _discrete_doc(n: int, drop: tuple[int, ...] = ()) -> dict:
                                    for u in range(1 << n) if u not in drop]}
 
 
+def _upsets_doc(n: int, pairs: list[tuple[int, int]], labels: list[str]) -> dict:
+    """The upsets of the relation pairs on n points as a labeled opens document."""
+    return {"points": n, "labels": labels,
+            "opens": [[x for x in range(n) if u >> x & 1] for u in range(1 << n)
+                      if all(u >> y & 1 for x, y in pairs if u >> x & 1)]}
+
+
 _NO_STDOUT = hashlib.sha256(b"").hexdigest()
-# exit code, stdout sha256 and stderr of `classify` on the largest documents,
-# recorded when validation and the definitional lambda check were pairwise scans
+# exit code, stdout sha256 and stderr of `classify` on the largest documents: the
+# first six recorded when validation and the definitional lambda check were pairwise
+# scans, the last two when subset tables were filled one bit at a time and the
+# report went through json.dumps
 LARGE_CLASSIFY_PINS = [
     (_discrete_doc(12), 0,
      "11cecf23da3a22051a8434b4bd91c30725d3c21726e44c8bf0b7fc073f4a31df", ""),
@@ -276,16 +296,60 @@ LARGE_CLASSIFY_PINS = [
     (_discrete_doc(11, drop=(0,)), 3, _NO_STDOUT,
      '{"error": "MissingEmptyOrFullError", "message": "family must contain the empty set and '
      'the whole space"}\n'),
+    # not T0: eight classes, four of them merged, on a class poset of height 2
+    ({"points": 12, "leq": [[0, 1], [1, 0], [1, 2], [2, 3], [3, 4], [4, 3], [5, 3], [6, 7],
+                            [7, 6], [7, 8], [9, 8], [10, 11], [11, 10], [11, 2]],
+      "closure": "reflexive-transitive"}, 0,
+     "49714522c2c15825bc5d1b516efe4ea0596f371f95be9a5c8d83b789758202b8", ""),
+    # labels that the writer escapes: non-ASCII, astral, control, quote and backslash
+    (_upsets_doc(12, [(0, 1), (1, 2), (3, 2), (4, 5), (6, 5), (6, 7), (8, 9), (10, 11)],
+                 ["\u00e9", "\u03b1", "\u65e5\u672c", "\U0001f600", "tab\t", 'quote"',
+                  "back\\slash", "nl\n", "\u0007bell", "ascii", "\u2028", "\x7f"]), 0,
+     "b906dd04a236c89e3fb67986262d9b61fb027972407f9b14835396f1b3bd5c2d", ""),
 ]
 
 
 class TestLargeClassify:
     @pytest.mark.parametrize("doc, code, stdout_sha256, stderr", LARGE_CLASSIFY_PINS,
                              ids=["discrete12", "discrete12-leq", "chain3-12-leq",
-                                  "union12", "intersection11", "no-empty11"])
+                                  "union12", "intersection11", "no-empty11",
+                                  "classes8-12-leq", "labels12-opens"])
     def test_pinned_outcome(self, doc, code, stdout_sha256, stderr):
         rc, out, err = run_cli("classify", stdin=json.dumps(doc))
         assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == (code, stdout_sha256, stderr)
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+
+
+class TestWriter:
+    """The report writer gives the text of json.dumps(x, sort_keys=True, indent=2)."""
+
+    @staticmethod
+    def _same(value):
+        assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2), value
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.recursive(_JSON_SCALARS, lambda inner: (
+        st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner)),
+        max_leaves=30))
+    def test_random_values(self, value):
+        self._same(value)
+
+    def test_edge_values(self):
+        deep = 0
+        for depth in range(60):
+            deep = [deep] if depth % 2 else {"k\u00e9": deep, "": []}
+        for value in ([True, 1, 1.0, False, 0, 0.0, None], {}, [], (), [{}, [], ()], deep,
+                      "\x00\x1f\x7f\u2028\ud800\U0001f600", -(10 ** 40), float("nan"),
+                      {"b": 1, "a": [-0.0, float("inf")], "\u00e9": {"": None}}):
+            self._same(value)
+
+    def test_verify_timings_report(self):
+        # run_cli compares the report with json.dumps; the timings are floats
+        rc, out, _ = run_cli("verify", "all", "--n-max", "4", "--timings")
+        assert rc == 0
+        assert all(isinstance(f["elapsed"], float) for f in json.loads(out)["findings"])
 
 
 class TestVerifyCommand:
