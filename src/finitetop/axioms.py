@@ -135,10 +135,21 @@ class SpaceContext:
         self.heights_pp
         return self.__dict__["ht"]
 
-    @cached_property
+    @property
     def class_ctx(self) -> tuple[SpaceContext, tuple[int, ...]]:
+        """The class space's context and the point -> class map.
+
+        A T0 space is its own class space, and its class context is this
+        context.  That is not stored: a context that refers to itself lives
+        on after its last use until a full garbage collection.
+        """
+        qctx, mapping = self._quotient
+        return (self if qctx is None else qctx), mapping
+
+    @cached_property
+    def _quotient(self) -> tuple[SpaceContext | None, tuple[int, ...]]:
         qtop, mapping = self.top.class_space()
-        return SpaceContext(qtop), mapping
+        return (None if qtop is self.top else SpaceContext(qtop)), mapping
 
 
 def _is_downset(ctx: SpaceContext, bits: int) -> bool:

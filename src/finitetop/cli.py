@@ -178,7 +178,12 @@ def _dumps(obj: Any, newline: str = "\n") -> str:
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([_dumps(v, inner) for v in obj]) + newline + "]"
+        # type, not isinstance: True is an int but renders as true
+        if all(type(v) is int for v in obj):
+            items = map(int.__repr__, obj)
+        else:
+            items = [_dumps(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(obj, dict):
         if not obj:
             return "{}"

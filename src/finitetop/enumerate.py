@@ -14,8 +14,8 @@ On top of the enumerator sits a registry of theorems: every order
 characterization, implication chain, finite collapse, transfer law, and
 decomposition criterion checked on all spaces (or pairs, or partitions) up
 to a size cap.  A family of look-alike theorems (mode agreements, chains,
-collapses, disjoint-union invariances) is one check factory and one
-registry row per theorem.  A check takes one case: a space case is its
+verdict laws such as the collapses, shell readings, disjoint-union
+invariances) is one check factory and one registry row per theorem.  A check takes one case: a space case is its
 SpaceContext, a pair case the contexts (left, right, union) of both
 summands and their union, a partition case (space, decomposition).  It
 returns None where the theorem holds and its witness dict where it fails.
@@ -289,6 +289,23 @@ def _first_difference(a: int, b: int, names: tuple[str, str]) -> dict | None:
     return {"point": x, names[0]: bool(a >> x & 1), names[1]: bool(b >> x & 1)}
 
 
+def _verdicts(ctx: SpaceContext, axioms: Iterable[str]) -> list[bool]:
+    """The definitional verdicts of ``axioms`` on the space, memoized on its context."""
+    return [check_space(ctx.top, axiom, DEFINITIONAL, ctx).verdict for axiom in axioms]
+
+
+def _verdict_law(axioms: tuple[str, ...], law: Callable[..., bool]) -> Callable:
+    """A check that ``law`` holds of the verdicts of ``axioms``; the witness is every verdict."""
+    def run(ctx: SpaceContext) -> dict | None:
+        verdicts = _verdicts(ctx, axioms)
+        return None if law(*verdicts) else dict(zip(axioms, verdicts))
+    return run
+
+
+def _all_equal(*verdicts: bool) -> bool:
+    return len(set(verdicts)) < 2
+
+
 # every axiom's definitional checker must agree with its order characterization
 
 def _mode_agreement(axiom: str) -> Callable:
@@ -375,43 +392,33 @@ def _check_sd_always(ctx: SpaceContext) -> dict | None:
     return None
 
 
-@_theorem("sd_class_reading", "closure minus class is closed iff class-minimal or the point escapes its closure")
-def _check_sd_class_reading(ctx: SpaceContext) -> dict | None:
-    sd = point_mask(ctx.top, "SD", DEFINITIONAL, ctx)
-    for x in range(ctx.n):
-        lhs = bool(sd >> x & 1)
-        shell = ctx.top.closure_bits(ctx.closure1[x] & ~ctx.cls_def[x])
-        rhs = ctx.down[x] == ctx.cls[x] or not shell >> x & 1
-        if lhs != rhs:
-            return {"point": x, "sd": lhs, "reading": rhs}
-    return None
+def _shell_reading(axiom: str, key: str, shell: Callable[[SpaceContext, int], int]) -> Callable:
+    """A check that ``axiom`` holds at x iff x is class-minimal or escapes the closure of its shell.
+
+    ``shell(ctx, x)`` is the shell of x.  The witness is the least point where
+    the two sides differ, with the side of ``axiom`` under ``key``.
+    """
+    def run(ctx: SpaceContext) -> dict | None:
+        reading = 0
+        for x in range(ctx.n):
+            if ctx.down[x] == ctx.cls[x] or not ctx.top.closure_bits(shell(ctx, x)) >> x & 1:
+                reading |= 1 << x
+        return _first_difference(point_mask(ctx.top, axiom, DEFINITIONAL, ctx), reading, (key, "reading"))
+    return run
 
 
-@_theorem("sd_point_shell_probe",
-          "probe: point derived set closed iff class-minimal or the point escapes the derived set closure",
-          asserted=False)
-def _check_sd_point_shell(ctx: SpaceContext) -> dict | None:
-    for x in range(ctx.n):
-        d = ctx.closure1[x] & ~(1 << x)
-        lhs = d in ctx.top.closed_set
-        rhs = ctx.down[x] == ctx.cls[x] or not ctx.top.closure_bits(d) >> x & 1
-        if lhs != rhs:
-            return {"point": x, "derived_closed": lhs, "reading": rhs}
-    return None
-
-
-@_theorem("sd_mixed_probe",
-          "probe: SD at a point iff class-minimal or the point escapes the point-shell closure",
-          asserted=False)
-def _check_sd_mixed(ctx: SpaceContext) -> dict | None:
-    sd = point_mask(ctx.top, "SD", DEFINITIONAL, ctx)
-    for x in range(ctx.n):
-        lhs = bool(sd >> x & 1)
-        d = ctx.closure1[x] & ~(1 << x)
-        rhs = ctx.down[x] == ctx.cls[x] or not ctx.top.closure_bits(d) >> x & 1
-        if lhs != rhs:
-            return {"point": x, "sd": lhs, "reading": rhs}
-    return None
+# the class shell of x is its closure minus its class, the point shell its
+# derived set; a point's derived set is closed exactly where it is TD
+for _tid, _desc, _asserted, _axiom, _key, _shell in (
+    ("sd_class_reading", "closure minus class is closed iff class-minimal or the point escapes its closure",
+     True, "SD", "sd", lambda ctx, x: ctx.closure1[x] & ~ctx.cls_def[x]),
+    ("sd_point_shell_probe",
+     "probe: point derived set closed iff class-minimal or the point escapes the derived set closure",
+     False, "TD", "derived_closed", lambda ctx, x: ctx.closure1[x] & ~(1 << x)),
+    ("sd_mixed_probe", "probe: SD at a point iff class-minimal or the point escapes the point-shell closure",
+     False, "SD", "sd", lambda ctx, x: ctx.closure1[x] & ~(1 << x)),
+):
+    _register(_tid, _desc, "space", _asserted, _shell_reading(_axiom, _key, _shell))
 
 
 def _pointwise_chain(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
@@ -426,13 +433,10 @@ def _pointwise_chain(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
 
 
 def _space_chain(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
-    prev_id = None
-    prev = None
-    for axiom in chain:
-        cur = check_space(ctx.top, axiom, DEFINITIONAL, ctx).verdict
-        if prev is not None and prev and not cur:
-            return {"holds": prev_id, "fails": axiom}
-        prev_id, prev = axiom, cur
+    verdicts = _verdicts(ctx, chain)
+    for i in range(len(chain) - 1):
+        if verdicts[i] and not verdicts[i + 1]:
+            return {"holds": chain[i], "fails": chain[i + 1]}
     return None
 
 
@@ -450,21 +454,13 @@ for _tid, _chain, _axioms, _desc in (
     _register(_tid, _desc, "space", True, partial(_chain, chain=_axioms))
 
 
-@_theorem("sys_eq_s14_and_sq", "SYS equals S1/4 together with SQ")
-def _check_sys_eq(ctx: SpaceContext) -> dict | None:
-    sys_v = check_space(ctx.top, "SYS", DEFINITIONAL, ctx).verdict
-    s14_v = check_space(ctx.top, "S1/4", DEFINITIONAL, ctx).verdict
-    sq_v = check_space(ctx.top, "SQ", DEFINITIONAL, ctx).verdict
-    if sys_v != (s14_v and sq_v):
-        return {"SYS": sys_v, "S1/4": s14_v, "SQ": sq_v}
-    return None
+_register("sys_eq_s14_and_sq", "SYS equals S1/4 together with SQ", "space", True,
+          _verdict_law(("SYS", "S1/4", "SQ"), lambda sys, s14, sq: sys == (s14 and sq)))
 
 
 @_theorem("sq_sdelta_chain_union", "SQ and Sdelta force the class space to be a disjoint union of chains")
 def _check_sq_sdelta(ctx: SpaceContext) -> dict | None:
-    sq_v = check_space(ctx.top, "SQ", DEFINITIONAL, ctx).verdict
-    sdelta_v = check_space(ctx.top, "Sdelta", DEFINITIONAL, ctx).verdict
-    if not (sq_v and sdelta_v):
+    if not all(_verdicts(ctx, ("SQ", "Sdelta"))):
         return None
     for comp in comparability_components(ctx.pre):
         if not is_pre_chain(ctx.pre, comp):
@@ -472,16 +468,8 @@ def _check_sq_sdelta(ctx: SpaceContext) -> dict | None:
     return None
 
 
-@_theorem("cr_or_nested_implies_sq", "CR or nested implies SQ")
-def _check_cr_nested_sq(ctx: SpaceContext) -> dict | None:
-    cr_v = check_space(ctx.top, "CR", DEFINITIONAL, ctx).verdict
-    nested_v = check_space(ctx.top, "nested", DEFINITIONAL, ctx).verdict
-    if not (cr_v or nested_v):
-        return None
-    sq_v = check_space(ctx.top, "SQ", DEFINITIONAL, ctx).verdict
-    if not sq_v:
-        return {"CR": cr_v, "nested": nested_v, "SQ": sq_v}
-    return None
+_register("cr_or_nested_implies_sq", "CR or nested implies SQ", "space", True,
+          _verdict_law(("CR", "nested", "SQ"), lambda cr, nested, sq: sq or not (cr or nested)))
 
 
 @_theorem("recurrent_eq_c0_finite", "recurrent and C0 coincide pointwise on finite spaces")
@@ -490,24 +478,13 @@ def _check_recurrent_c0(ctx: SpaceContext) -> dict | None:
     return _first_difference(recurrent, point_mask(ctx.top, "C0", DEFINITIONAL, ctx), ("recurrent", "C0"))
 
 
-def _coincide(*axioms: str) -> Callable:
-    """A check that all of ``axioms`` hold together or fail together."""
-    def run(ctx: SpaceContext) -> dict | None:
-        verdicts = {axiom: check_space(ctx.top, axiom, DEFINITIONAL, ctx).verdict for axiom in axioms}
-        if len(set(verdicts.values())) > 1:
-            return verdicts
-        return None
-    return run
-
-
 _register("t13_eq_t12_finite", "T1/4, T1/3 and T1/2 coincide on finite spaces", "space", True,
-          _coincide("T1/4", "T1/3", "T1/2"))
+          _verdict_law(("T1/4", "T1/3", "T1/2"), _all_equal))
 
 
 @_theorem("t1_eq_t2_discrete_finite", "T1, T2 and discreteness coincide on finite spaces")
 def _check_t1_t2(ctx: SpaceContext) -> dict | None:
-    v1 = check_space(ctx.top, "T1", DEFINITIONAL, ctx).verdict
-    v2 = check_space(ctx.top, "T2", DEFINITIONAL, ctx).verdict
+    v1, v2 = _verdicts(ctx, ("T1", "T2"))
     discrete = len(ctx.top.opens) == 1 << ctx.n
     if not v1 == v2 == discrete:
         return {"T1": v1, "T2": v2, "discrete": discrete}
@@ -515,7 +492,7 @@ def _check_t1_t2(ctx: SpaceContext) -> dict | None:
 
 
 _register("lambda_eq_s14_s12_finite", "lambda-space, S1/4 and S1/2 coincide on finite spaces",
-          "space", True, _coincide("lambda", "S1/4", "S1/2"))
+          "space", True, _verdict_law(("lambda", "S1/4", "S1/2"), _all_equal))
 
 
 @_theorem("class_space_t0_idempotent", "the class space is T0 and a fixed point of the construction")
@@ -947,15 +924,10 @@ def implication_matrix(n_max: int = 5, axioms: Iterable[str] | None = None) -> I
     for n, reps in enumerate(_preorder_classes(n_max)):
         for size, (ctx,) in _space_cases(n, reps):
             checked += size
-            verdicts = {a: check_space(ctx.top, a, DEFINITIONAL, ctx).verdict for a in chosen}
-            payload = None
-            for a in chosen:
-                if not verdicts[a]:
-                    continue
-                for b in chosen:
-                    if a == b or verdicts[b] or (a, b) in counterexamples:
-                        continue
-                    if payload is None:
-                        payload = _space_payload(ctx)
-                    counterexamples[(a, b)] = payload
+            verdicts = _verdicts(ctx, chosen)
+            held = [a for a, v in zip(chosen, verdicts) if v]
+            failed = [b for b, v in zip(chosen, verdicts) if not v]
+            new = [(a, b) for a in held for b in failed if (a, b) not in counterexamples]
+            if new:
+                counterexamples.update(dict.fromkeys(new, _space_payload(ctx)))
     return ImplicationMatrix(chosen, n_max, checked, counterexamples)

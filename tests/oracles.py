@@ -15,13 +15,18 @@ as references: a table filled one bit at a time, the upset scan behind
 rows point by point, and the class space built from its blocks on every
 space.  The tests require the table-driven code to give the same tables,
 opens, witnesses and quotients.
+
+The last group is the hand-written verdict-relation checks that the
+registry now states as verdict laws, shell readings and whole-space chains:
+each reads its verdicts or point masks one by one.  The tests require each
+registry row to return what its reference returns on every case.
 """
 from __future__ import annotations
 
 from itertools import permutations
-from typing import Iterator
+from typing import Callable, Iterator
 
-from finitetop.axioms import SpaceContext
+from finitetop.axioms import DEFINITIONAL, SpaceContext, check_space, point_mask
 from finitetop.core import FiniteTopology, Preorder, bit_indices
 from finitetop.enumerate import _check_size, _preorder_rows
 from finitetop.order import _down_closure
@@ -214,3 +219,76 @@ def class_space_by_blocks(top: FiniteTopology) -> tuple[FiniteTopology, tuple[in
                 mask |= 1 << i
         q_opens.add(mask)
     return FiniteTopology(len(blocks), tuple(sorted(q_opens))), mapping
+
+
+def coincide_by_verdicts(*axioms: str) -> Callable:
+    """A check that all of ``axioms`` hold together or fail together."""
+    def run(ctx: SpaceContext) -> dict | None:
+        verdicts = {axiom: check_space(ctx.top, axiom, DEFINITIONAL, ctx).verdict for axiom in axioms}
+        if len(set(verdicts.values())) > 1:
+            return verdicts
+        return None
+    return run
+
+
+def sys_eq_by_verdicts(ctx: SpaceContext) -> dict | None:
+    sys_v = check_space(ctx.top, "SYS", DEFINITIONAL, ctx).verdict
+    s14_v = check_space(ctx.top, "S1/4", DEFINITIONAL, ctx).verdict
+    sq_v = check_space(ctx.top, "SQ", DEFINITIONAL, ctx).verdict
+    if sys_v != (s14_v and sq_v):
+        return {"SYS": sys_v, "S1/4": s14_v, "SQ": sq_v}
+    return None
+
+
+def cr_nested_sq_by_verdicts(ctx: SpaceContext) -> dict | None:
+    cr_v = check_space(ctx.top, "CR", DEFINITIONAL, ctx).verdict
+    nested_v = check_space(ctx.top, "nested", DEFINITIONAL, ctx).verdict
+    if not (cr_v or nested_v):
+        return None
+    sq_v = check_space(ctx.top, "SQ", DEFINITIONAL, ctx).verdict
+    if not sq_v:
+        return {"CR": cr_v, "nested": nested_v, "SQ": sq_v}
+    return None
+
+
+def sd_class_reading_by_points(ctx: SpaceContext) -> dict | None:
+    sd = point_mask(ctx.top, "SD", DEFINITIONAL, ctx)
+    for x in range(ctx.n):
+        lhs = bool(sd >> x & 1)
+        shell = ctx.top.closure_bits(ctx.closure1[x] & ~ctx.cls_def[x])
+        rhs = ctx.down[x] == ctx.cls[x] or not shell >> x & 1
+        if lhs != rhs:
+            return {"point": x, "sd": lhs, "reading": rhs}
+    return None
+
+
+def sd_point_shell_by_points(ctx: SpaceContext) -> dict | None:
+    for x in range(ctx.n):
+        d = ctx.closure1[x] & ~(1 << x)
+        lhs = d in ctx.top.closed_set
+        rhs = ctx.down[x] == ctx.cls[x] or not ctx.top.closure_bits(d) >> x & 1
+        if lhs != rhs:
+            return {"point": x, "derived_closed": lhs, "reading": rhs}
+    return None
+
+
+def sd_mixed_by_points(ctx: SpaceContext) -> dict | None:
+    sd = point_mask(ctx.top, "SD", DEFINITIONAL, ctx)
+    for x in range(ctx.n):
+        lhs = bool(sd >> x & 1)
+        d = ctx.closure1[x] & ~(1 << x)
+        rhs = ctx.down[x] == ctx.cls[x] or not ctx.top.closure_bits(d) >> x & 1
+        if lhs != rhs:
+            return {"point": x, "sd": lhs, "reading": rhs}
+    return None
+
+
+def space_chain_by_verdicts(ctx: SpaceContext, chain: tuple[str, ...]) -> dict | None:
+    prev_id = None
+    prev = None
+    for axiom in chain:
+        cur = check_space(ctx.top, axiom, DEFINITIONAL, ctx).verdict
+        if prev is not None and prev and not cur:
+            return {"holds": prev_id, "fails": axiom}
+        prev_id, prev = axiom, cur
+    return None

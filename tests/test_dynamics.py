@@ -118,9 +118,11 @@ class TestLaws:
     def test_transfer_space_law_follows_from_set_law(self, monkeypatch):
         # the space law is no separate check: wherever the set law holds on
         # patched recurrent masks, every point is recurrent iff every
-        # singleton class is recurrent in the class space
-        masks = {}
-        monkeypatch.setattr(dynamics, "recurrent_mask", lambda ctx: masks[id(ctx)])
+        # singleton class is recurrent in the class space; the check reads
+        # the space's mask and then the class space's, so the patch hands out
+        # r and then qr (a T0 space's class context is the context itself)
+        feed = iter(())
+        monkeypatch.setattr(dynamics, "recurrent_mask", lambda ctx: next(feed))
         held = failed = 0
         for n in range(4):
             for top in all_topologies_brute(n):
@@ -129,8 +131,10 @@ class TestLaws:
                 singletons = [b for b in range(qctx.n) if mapping.count(b) == 1]
                 for r in range(1 << n):
                     for qr in range(1 << qctx.n):
-                        masks[id(ctx)], masks[id(qctx)] = r, qr
-                        if recurrence_transfer_check(top, ctx) is not None:
+                        feed = iter((r, qr))
+                        violated = recurrence_transfer_check(top, ctx) is not None
+                        assert next(feed, None) is None, "both masks are read"
+                        if violated:
                             failed += 1
                             continue
                         held += 1

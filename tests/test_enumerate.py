@@ -570,6 +570,21 @@ class TestImplicationMatrix:
                 assert not (check_space(top, "C0", DEFINITIONAL, ctx).verdict
                             and not check_space(top, "CR", DEFINITIONAL, ctx).verdict)
 
+    def test_reordered_subset_is_the_full_matrix_restricted(self):
+        rng = random.Random(21)
+        named = ["T1/4", "T1/3", "S1/4"]
+        chosen = rng.sample([a for a in AXIOMS if a not in named], 9) + named
+        rng.shuffle(chosen)
+        catalog = list(AXIOMS)
+        assert sorted(chosen, key=catalog.index) != chosen
+        full = implication_matrix(5)
+        m = implication_matrix(5, axioms=chosen)
+        assert m.axioms == tuple(chosen)
+        assert m.spaces_checked == full.spaces_checked
+        assert m.counterexamples == {(a, b): w for (a, b), w in full.counterexamples.items()
+                                     if a in chosen and b in chosen}
+        assert m.counterexamples
+
     def test_unknown_axiom(self):
         with pytest.raises(KeyError):
             implication_matrix(2, ["T0", "T9"])

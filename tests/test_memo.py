@@ -11,6 +11,8 @@ they replaced, kept here as references.
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 from finitetop.axioms import (
     AXIOMS,
@@ -18,6 +20,7 @@ from finitetop.axioms import (
     DEFINITIONAL,
     SpaceContext,
     _space_eval,
+    axiom_vector,
     check_point,
     check_space,
     point_mask,
@@ -33,6 +36,7 @@ from finitetop.enumerate import (
     theorems,
     verify_all,
 )
+from finitetop.generate import _preorder_classes
 
 MODES = (DEFINITIONAL, CHARACTERIZED)
 SPACE_THEOREMS = [t for t in theorems() if t.scope == "space"]
@@ -82,6 +86,40 @@ class TestSpaceMemo:
             assert fresh is not cached
             assert (cached.blocks, cached.leq) == (fresh.blocks, fresh.leq)
             assert cached == class_poset(top.specialization())
+
+    def test_t0_space_is_its_own_class_context(self):
+        seen = set()
+        for n, reps in enumerate(_preorder_classes(6)):
+            for rows, _ in reps:
+                pre = Preorder(n, rows)
+                top = alexandrov(pre)
+                ctx = SpaceContext(top, pre)
+                t0 = all(c == 1 << x for x, c in enumerate(pre.cls))
+                assert (ctx.class_ctx[0] is ctx) == t0, pre
+                seen.add(t0)
+                if t0:
+                    # sharing the memo gives the verdicts of a separate class context
+                    apart = SpaceContext(top, pre)
+                    apart._quotient = (SpaceContext(top), ctx.class_ctx[1])
+                    assert apart.class_ctx[0] is not apart
+                    shared, fresh = (axiom_vector(top, DEFINITIONAL, c) for c in (ctx, apart))
+                    assert ([(r.verdict, r.witness) for r in shared.values()]
+                            == [(r.verdict, r.witness) for r in fresh.values()]), pre
+        assert seen == {True, False}
+
+    def test_context_holds_no_reference_to_itself(self):
+        # freed by reference counting alone, after every space theorem ran on it
+        gc.disable()
+        try:
+            for n, reps in enumerate(_preorder_classes(5)):
+                for rows, _ in reps:
+                    pre = Preorder(n, rows)
+                    ctx = _shared_context(pre, alexandrov(pre))
+                    ref = weakref.ref(ctx)
+                    del ctx
+                    assert ref() is None, pre
+        finally:
+            gc.enable()
 
 
 def _reference_mode_agreement(ctx: SpaceContext, axiom: str) -> dict | None:
