@@ -31,29 +31,7 @@ _HOMES = {
 
 _SUBMODULES = ("axioms", "cli", "core", "decomp", "dynamics", "enumerate", "generate", "order")
 
-__all__ = [
-    "AXIOMS",
-    "CHARACTERIZED",
-    "DEFINITIONAL",
-    "AxiomReport",
-    "AxiomSpec",
-    "ClassPoset",
-    "FiniteTopology",
-    "MissingEmptyOrFullError",
-    "NotClosedUnderIntersectionError",
-    "NotClosedUnderUnionError",
-    "NotPointLevelError",
-    "Preorder",
-    "SpaceContext",
-    "TopologyError",
-    "alexandrov",
-    "axiom_vector",
-    "check_point",
-    "check_space",
-    "class_poset",
-    "disjoint_union",
-    "validate_topology",
-]
+__all__ = sorted(_HOMES)
 
 __version__ = "0.1.0"
 

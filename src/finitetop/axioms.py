@@ -152,13 +152,6 @@ class SpaceContext:
         return (None if qtop is self.top else SpaceContext(qtop)), mapping
 
 
-def _is_downset(ctx: SpaceContext, bits: int) -> bool:
-    for y in bit_indices(bits):
-        if ctx.down[y] & ~bits:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # definitional point checks (family side)
 
@@ -438,7 +431,8 @@ def _c_tm1(ctx: SpaceContext, x: int) -> bool:
 
 
 def _c_td(ctx: SpaceContext, x: int) -> bool:
-    return _is_downset(ctx, ctx.down[x] & ~(1 << x))
+    shell = ctx.down[x] & ~(1 << x)
+    return ctx.down_t[shell] == shell
 
 
 def _c_t14(ctx: SpaceContext, x: int) -> bool:
@@ -498,7 +492,8 @@ def _c_sd(ctx: SpaceContext, x: int) -> bool:
 def _c_recurrent(ctx: SpaceContext, x: int) -> bool:
     if ctx.down[x] == ctx.cls[x]:
         return True
-    return not _is_downset(ctx, ctx.down[x] & ~(1 << x))
+    shell = ctx.down[x] & ~(1 << x)
+    return ctx.down_t[shell] != shell
 
 
 def _c_sy(ctx: SpaceContext, x: int) -> bool:

@@ -8,14 +8,19 @@ but the open family is always stored explicitly so that set-level operations
 (closure, kernel, lambda-closure) are computed from the family itself and
 never silently route through the order side.
 
-Points are opaque ids 0..n-1; subsets are bitmaps over those ids.
+Points are opaque ids 0..n-1; subsets are bitmaps over those ids.  Three
+kernels do the bit arithmetic that both routes share, and encode no axiom:
+``transpose`` turns up-rows into down-rows (and point closures into
+up-rows), ``union_table`` gives the union of the rows over every subset,
+and ``FiniteTopology.quotient`` reads the open entries of the blocks' union
+table, which is both the class space and the quotient by a decomposition.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 # the enumeration caps, kept here so the command line can state them
 # without importing the enumerator: the labeled routes walk every labeled
@@ -59,6 +64,18 @@ def bit_indices(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def transpose(rows: Sequence[int]) -> tuple[int, ...]:
+    """The transpose of a square bit matrix: bit x of out[y] is bit y of rows[x]."""
+    out = [0] * len(rows)
+    for x, row in enumerate(rows):
+        bit = 1 << x
+        while row:
+            low = row & -row
+            out[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(out)
 
 
 def union_table(rows: Iterable[int]) -> list[int]:
@@ -173,14 +190,11 @@ class FiniteTopology:
         return tuple(self.kernel_bits(1 << x) for x in range(self.n))
 
     def specialization(self) -> Preorder:
-        """x <= y iff x lies in the closure of {y}; upsets of this preorder are the opens."""
-        cl = self.point_closures
-        up = [0] * self.n
-        for y in range(self.n):
-            cy = cl[y]
-            for x in bit_indices(cy):
-                up[x] |= 1 << y
-        return Preorder(self.n, tuple(up))
+        """x <= y iff x lies in the closure of {y}; upsets of this preorder are the opens.
+
+        The up-rows are the transpose of the point closures.
+        """
+        return Preorder(self.n, transpose(self.point_closures))
 
     @cached_property
     def point_classes(self) -> tuple[int, ...]:
@@ -196,6 +210,18 @@ class FiniteTopology:
             out[x] = m
         return tuple(out)
 
+    def quotient(self, blocks: Sequence[int]) -> FiniteTopology:
+        """The quotient topology on a partition of the points into blocks.
+
+        Bit i of a quotient set stands for blocks[i], and a set of blocks is
+        open iff the union of its blocks is.  The union table of the blocks
+        lists those unions by quotient set in ascending order, so the open
+        entries come out sorted.
+        """
+        opens = self.opens_set
+        return FiniteTopology(len(blocks), tuple(
+            i for i, u in enumerate(union_table(blocks)) if u in opens))
+
     def class_space(self) -> tuple[FiniteTopology, tuple[int, ...]]:
         """Identify points with equal singleton closures.
 
@@ -208,22 +234,8 @@ class FiniteTopology:
         classes = self.point_classes
         if all(m == 1 << x for x, m in enumerate(classes)):
             return self, tuple(range(self.n))
-        blocks: list[int] = []
-        seen: set[int] = set()
-        for x in range(self.n):
-            m = classes[x]
-            if m not in seen:
-                seen.add(m)
-                blocks.append(m)
-        mapping = tuple(blocks.index(classes[x]) for x in range(self.n))
-        q_opens: set[int] = set()
-        for u in self.opens:
-            mask = 0
-            for i, b in enumerate(blocks):
-                if b & u:
-                    mask |= 1 << i
-            q_opens.add(mask)
-        return FiniteTopology(len(blocks), tuple(sorted(q_opens))), mapping
+        blocks = list(dict.fromkeys(classes))
+        return self.quotient(blocks), tuple(map(blocks.index, classes))
 
 
 @dataclass(frozen=True)
@@ -277,15 +289,8 @@ class Preorder:
 
     @cached_property
     def down(self) -> tuple[int, ...]:
-        """down[y] is the bitmap {x : x <= y}."""
-        out = [0] * self.n
-        for x, row in enumerate(self.up):
-            r = row
-            while r:
-                low = r & -r
-                out[low.bit_length() - 1] |= 1 << x
-                r ^= low
-        return tuple(out)
+        """down[y] is the bitmap {x : x <= y}, the transpose of the up-rows."""
+        return transpose(self.up)
 
     @cached_property
     def cls(self) -> tuple[int, ...]:
@@ -296,14 +301,7 @@ class Preorder:
     @cached_property
     def class_poset(self) -> ClassPoset:
         """The partial order induced on the equivalence classes."""
-        cls = self.cls
-        blocks: list[int] = []
-        seen: set[int] = set()
-        for x in range(self.n):
-            m = cls[x]
-            if m not in seen:
-                seen.add(m)
-                blocks.append(m)
+        blocks = list(dict.fromkeys(self.cls))
         reps = [b & -b for b in blocks]
         leq = []
         for b in reps:

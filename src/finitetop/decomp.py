@@ -7,16 +7,18 @@ with union), so only pairwise intersections can disqualify it from being a
 topology.  The module decides that, verifies the containment criterion
 (tau_F sits inside the topology iff the closure of every saturated set is
 saturated, and containment forces tau_F to be a topology), and builds the
-quotient space on the blocks.
+quotient space on the blocks.  Every union of blocks is read from the
+blocks' union table (``core.union_table``), indexed by the set of blocks,
+and the quotient is ``FiniteTopology.quotient``, the construction the class
+space uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterator
 
-from .core import FiniteTopology, bit_indices
+from .core import FiniteTopology, bit_indices, union_table
 
 
 @dataclass(frozen=True)
@@ -45,14 +47,6 @@ class Decomposition:
             raise ValueError("blocks do not cover the universe")
         ordered = tuple(sorted(self.blocks, key=lambda b: b & -b))
         object.__setattr__(self, "blocks", ordered)
-
-    @cached_property
-    def block_of(self) -> tuple[int, ...]:
-        out = [0] * self.n
-        for i, b in enumerate(self.blocks):
-            for p in bit_indices(b):
-                out[p] = i
-        return tuple(out)
 
     def saturate_bits(self, bits: int) -> int:
         out = 0
@@ -103,19 +97,15 @@ def lemma001_check(top: FiniteTopology, dec: Decomposition) -> dict | None:
 
     Two facts are replayed: tau_F is contained in the topology exactly when
     the closure of every saturated subset is saturated, and containment
-    forces tau_F to be a topology.  Returns None when both hold, else the
-    witness of the first that fails.
+    forces tau_F to be a topology.  The saturated subsets are the entries
+    of the blocks' union table, read in order of their set of blocks.
+    Returns None when both hold, else the witness of the first that fails.
     """
     result = tau_F(top, dec)
     contained = all(s in top.opens_set for s in result.family)
 
     closure_witness = None
-    k = len(dec.blocks)
-    for combo in range(1 << k):
-        sat = 0
-        for i in range(k):
-            if combo >> i & 1:
-                sat |= dec.blocks[i]
+    for sat in union_table(dec.blocks):
         cl = top.closure_bits(sat)
         if dec.saturate_bits(cl) != cl:
             closure_witness = {"saturated_set": sorted(bit_indices(sat)),
@@ -132,19 +122,13 @@ def lemma001_check(top: FiniteTopology, dec: Decomposition) -> dict | None:
 
 
 def quotient(top: FiniteTopology, dec: Decomposition) -> FiniteTopology:
-    """Quotient topology on the blocks: open iff the preimage union is open."""
+    """Quotient topology on the blocks: open iff the preimage union is open.
+
+    This is ``FiniteTopology.quotient`` on the blocks, after the size check.
+    """
     if dec.n != top.n:
         raise ValueError("universe size mismatch")
-    k = len(dec.blocks)
-    opens = []
-    for combo in range(1 << k):
-        pre = 0
-        for i in range(k):
-            if combo >> i & 1:
-                pre |= dec.blocks[i]
-        if pre in top.opens_set:
-            opens.append(combo)
-    return FiniteTopology(k, tuple(sorted(opens)))
+    return top.quotient(dec.blocks)
 
 
 def iter_partitions(n: int) -> Iterator[Decomposition]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from .axioms import CHARACTERIZED, SpaceContext, point_mask
 from .core import FiniteTopology, bit_indices
-from .order import _down_closure
 
 
 @dataclass(frozen=True)
@@ -62,7 +61,7 @@ def _weakly_saddle_like(ctx: SpaceContext, x: int) -> bool:
     for y in bit_indices(shell_cls):
         half_open = shell_cls & ctx.down[y]
         probe = half_open & ~(1 << y)
-        if _down_closure(ctx.down, probe) >> x & 1:
+        if ctx.down_t[probe] >> x & 1:
             return True
     return False
 
@@ -73,7 +72,7 @@ def _strong_tail(ctx: SpaceContext, x: int, proper: int) -> bool:
 
 
 def _non_wandering_mask(ctx: SpaceContext) -> int:
-    return ctx.top.interior_bits(_down_closure(ctx.down, recurrent_mask(ctx)))
+    return ctx.top.interior_bits(ctx.down_t[recurrent_mask(ctx)])
 
 
 def _class_sizes(ctx: SpaceContext) -> list[int]:
@@ -136,7 +135,7 @@ def is_anosov_type(top: FiniteTopology, ctx: SpaceContext | None = None) -> bool
     minimal = ctx.minimal
     if minimal == ctx.full:
         return False
-    if _down_closure(ctx.down, minimal) != ctx.full:
+    if ctx.down_t[minimal] != ctx.full:
         return False
     return any(ctx.down[x] == ctx.full for x in range(ctx.n))
 

@@ -49,6 +49,7 @@ from .core import (
     alexandrov,
     bit_indices,
     disjoint_union,
+    union_table,
 )
 from .decomp import Decomposition, iter_partitions, lemma001_check, quotient, tau_F
 from .dynamics import (
@@ -61,7 +62,7 @@ from .dynamics import (
     recurrent_vs_hyperbolic_check,
     saddle_equivalences_check,
 )
-from .order import _down_closure, comparability_components, is_pre_chain
+from .order import comparability_components, is_pre_chain
 
 
 class SizeError(ValueError):
@@ -543,7 +544,7 @@ def _check_nonwandering(ctx: SpaceContext) -> dict | None:
     for b, size in enumerate(_class_sizes(ctx)):
         if size > 1:
             dense_target |= 1 << b
-    dense = _down_closure(qctx.down, dense_target) == qctx.full
+    dense = qctx.down_t[dense_target] == qctx.full
     if all_nonwandering != dense:
         return {"all_non_wandering": all_nonwandering, "class_union_dense": dense}
     return None
@@ -652,16 +653,12 @@ def _check_tau_f_quotient(top: FiniteTopology, dec: Decomposition) -> dict | Non
     r = tau_F(top, dec)
     if not all(s in top.opens_set for s in r.family):
         return None
-    combos = []
-    for sat in r.family:
-        combo = 0
-        for i, b in enumerate(dec.blocks):
-            if b & sat:
-                combo |= 1 << i
-        combos.append(combo)
+    # a saturation is a union of blocks: its set of blocks is its index in the union table
+    index = {sat: combo for combo, sat in enumerate(union_table(dec.blocks))}
+    combos = sorted(index[sat] for sat in r.family)
     q = quotient(top, dec)
-    if tuple(sorted(combos)) != q.opens:
-        return {"family_blocks": sorted(combos), "quotient_opens": list(q.opens)}
+    if tuple(combos) != q.opens:
+        return {"family_blocks": combos, "quotient_opens": list(q.opens)}
     return None
 
 

@@ -18,7 +18,7 @@ from itertools import combinations
 from math import factorial
 from typing import Sequence
 
-from .core import bit_indices
+from .core import bit_indices, transpose
 
 
 def _least_encoding(up: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
@@ -38,10 +38,7 @@ def _least_encoding(up: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
     branch is kept, and the t! goes back into |Aut| as a factor.
     """
     n = len(up)
-    down = [0] * n
-    for x, row in enumerate(up):
-        for y in bit_indices(row):
-            down[y] |= 1 << x
+    down = transpose(up)
     # older[x]: the twins of x with a smaller label, all placed before x
     older = [0] * n
     twin_orders = 1
@@ -86,16 +83,12 @@ def _least_encoding(up: Sequence[int]) -> tuple[int, tuple[int, ...], int]:
     return code, rows, len(branches) * twin_orders
 
 
-def _order_ideals(up: Sequence[int]) -> list[int]:
-    """Every down-closed subset of the poset with up-rows ``up``."""
-    n = len(up)
-    below = [0] * n
-    for x, row in enumerate(up):
-        for y in bit_indices(row & ~(1 << x)):
-            below[y] |= 1 << x
+def _order_ideals(down: Sequence[int]) -> list[int]:
+    """Every down-closed subset of the poset with down-rows ``down``."""
+    below = [row & ~(1 << x) for x, row in enumerate(down)]
     ideals = [0]
     # fewest points below first, so each point comes after all points below it
-    for x in sorted(range(n), key=lambda x: below[x].bit_count()):
+    for x in sorted(range(len(down)), key=lambda x: below[x].bit_count()):
         ideals += [ideal | 1 << x for ideal in ideals if not below[x] & ~ideal]
     return ideals
 
@@ -118,8 +111,9 @@ def _poset_levels(cap: int) -> list[list[tuple[int, tuple[int, ...], int]]]:
         found = {}
         for _, up, _ in levels[-1]:
             # the maximal points, each with the number of points below it
-            tops = [(x, sum(r >> x & 1 for r in up) - 1) for x, row in enumerate(up) if row == 1 << x]
-            for ideal in _order_ideals(up):
+            down = transpose(up)
+            tops = [(x, down[x].bit_count() - 1) for x, row in enumerate(up) if row == 1 << x]
+            for ideal in _order_ideals(down):
                 # the maximal points outside the ideal stay maximal; the new
                 # point must have the most points below it among them all
                 if any(below > ideal.bit_count() for x, below in tops if not ideal >> x & 1):

@@ -8,8 +8,6 @@ descending chain of classes below x^.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from .core import Preorder, bit_indices, class_poset
 
 
@@ -68,14 +66,6 @@ def heights(pre: Preorder) -> tuple[tuple[int, ...], int]:
     per_class = [ht(i) for i in range(k)]
     per_point = tuple(per_class[cp.block_of[x]] for x in range(pre.n))
     return per_point, max(per_class, default=0)
-
-
-def _down_closure(down: Sequence[int], bits: int) -> int:
-    """Union of the down-rows of the points in bits: the least downset containing them."""
-    closure = 0
-    for x in bit_indices(bits):
-        closure |= down[x]
-    return closure
 
 
 def is_pre_chain(pre: Preorder, bits: int) -> bool:

@@ -12,9 +12,11 @@ same rows, order and orbit sizes.
 The remaining functions are the loops that the subset tables replaced, kept
 as references: a table filled one bit at a time, the upset scan behind
 ``alexandrov``, the two characterized subset scans that read the preorder's
-rows point by point, and the class space built from its blocks on every
-space.  The tests require the table-driven code to give the same tables,
-opens, witnesses and quotients.
+rows point by point, the class space built by pushing each open through its
+blocks, the quotient built over every combination of blocks, a down
+closure as a union of rows, and a transpose read cell by cell.  The tests
+require the table-driven code and ``core.transpose`` to give the same
+tables, opens, witnesses, quotients and rows.
 
 The last group is the hand-written verdict-relation checks that the
 registry now states as verdict laws, shell readings and whole-space chains:
@@ -29,7 +31,6 @@ from typing import Callable, Iterator
 from finitetop.axioms import DEFINITIONAL, SpaceContext, check_space, point_mask
 from finitetop.core import FiniteTopology, Preorder, bit_indices
 from finitetop.enumerate import _check_size, _preorder_rows
-from finitetop.order import _down_closure
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
 
@@ -169,10 +170,38 @@ def alexandrov_by_scan(pre: Preorder) -> FiniteTopology:
     return FiniteTopology(n, tuple(opens))
 
 
+def transpose_by_cells(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """The transpose of a square bit matrix, one cell at a time."""
+    n = len(rows)
+    return tuple(sum(1 << x for x in range(n) if rows[x] >> y & 1) for y in range(n))
+
+
+def down_closure(down: tuple[int, ...], bits: int) -> int:
+    """Union of the down-rows of the points in bits: the least downset containing them."""
+    closure = 0
+    for x in bit_indices(bits):
+        closure |= down[x]
+    return closure
+
+
+def quotient_by_combos(top: FiniteTopology, blocks: tuple[int, ...]) -> FiniteTopology:
+    """The quotient on the blocks: each combination of blocks, open iff its union is."""
+    k = len(blocks)
+    opens = []
+    for combo in range(1 << k):
+        pre = 0
+        for i in range(k):
+            if combo >> i & 1:
+                pre |= blocks[i]
+        if pre in top.opens_set:
+            opens.append(combo)
+    return FiniteTopology(k, tuple(sorted(opens)))
+
+
 def fd_form_holds_by_scan(down: tuple[int, ...], n: int) -> int | None:
     """First subset (by bitmap) not of the form closed-minus-downset, else None."""
     for a in range(1 << n):
-        d = _down_closure(down, a) & ~a
+        d = down_closure(down, a) & ~a
         # d is a downset iff no element of d sits above a point of a
         if any(down[y] & a for y in bit_indices(d)):
             return a

@@ -55,9 +55,6 @@ class TestDecomposition:
         dec = from_blocks(3, [[2], [0, 1]])
         assert dec.blocks == (0b011, 0b100)
 
-    def test_block_of(self):
-        assert CROSSING.block_of == (0, 1, 0, 2, 1)
-
     def test_rejects_overlap(self):
         with pytest.raises(ValueError):
             from_blocks(3, [[0, 1], [1, 2]])

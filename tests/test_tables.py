@@ -1,12 +1,15 @@
-"""The subset tables against the loops they replaced.
+"""The bitset kernels of ``core`` against the loops they replaced.
 
 Every 2^n subset scan on the classify path reads a table that
-``core.union_table`` builds by doubling.  The references in ``oracles``
-fill the tables one bit at a time and scan each subset point by point; the
-table-driven code must give the same tables, opens, witnesses and class
-spaces on every labeled space on at most 4 points, every class
-representative on 5 and 6, and random preorders on 7-12 points with merged
-classes.
+``core.union_table`` builds by doubling, every down-row and up-row comes
+from ``core.transpose``, and every quotient by blocks is
+``FiniteTopology.quotient``.  The references in ``oracles`` fill the tables
+one bit at a time, scan each subset point by point, transpose cell by cell
+and build quotients over every combination of blocks; the kernels must
+give the same tables, rows, opens, witnesses and quotients on every labeled
+space on at most 4 points, every class representative on 5 and 6, every
+partition of the class representatives on at most 4 points, and random
+preorders on 7-12 points with merged classes.
 """
 from __future__ import annotations
 
@@ -14,14 +17,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitetop.axioms import AXIOMS, SpaceContext, _fd_form_holds
-from finitetop.core import FiniteTopology, Preorder, alexandrov, bit_indices, union_table
+from finitetop.core import FiniteTopology, Preorder, alexandrov, bit_indices, transpose, union_table
+from finitetop.decomp import iter_partitions, quotient
 from finitetop.enumerate import enumerate_topologies
 
 from oracles import (
     alexandrov_by_scan,
     c_lambda_space_by_scan,
     class_space_by_blocks,
+    down_closure,
     fd_form_holds_by_scan,
+    quotient_by_combos,
+    transpose_by_cells,
     union_table_by_bits,
 )
 
@@ -38,6 +45,17 @@ def _check_tables(top: FiniteTopology) -> None:
     for rows, table in ((ctx.closure1, ctx.closure_t), (ctx.kernel1, ctx.kernel_t),
                         (ctx.up, ctx.up_t), (ctx.down, ctx.down_t)):
         assert union_table(rows) == table == union_table_by_bits(rows), top
+
+
+def _check_kernels(top: FiniteTopology) -> None:
+    ctx = SpaceContext(top)
+    for rows in (ctx.kernel1, ctx.down):
+        assert transpose(rows) == transpose_by_cells(rows), top
+    assert ctx.up == transpose_by_cells(ctx.closure1), top
+    assert ctx.down == transpose_by_cells(ctx.up), top
+    assert ctx.down_t == [down_closure(ctx.down, a) for a in range(1 << ctx.n)], top
+    blocks = tuple(dict.fromkeys(top.point_classes))
+    assert top.quotient(blocks) == quotient_by_combos(top, blocks), top
 
 
 def _check_scans(top: FiniteTopology) -> None:
@@ -74,11 +92,18 @@ class TestTablesMatchReferences:
         shortcut = set()
         for top in _small_spaces():
             _check_tables(top)
+            _check_kernels(top)
             _check_scans(top)
             _check_spaces(top)
             shortcut.add(top.class_space()[0] is top)
         # both the T0 shortcut and the general path ran
         assert shortcut == {True, False}
+
+    def test_partitions_of_class_representatives(self):
+        for n in range(5):
+            for top in enumerate_topologies(n, up_to_iso=True):
+                for dec in iter_partitions(n):
+                    assert quotient(top, dec) == quotient_by_combos(top, dec.blocks), (top, dec)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(_merged_preorders())
@@ -86,5 +111,6 @@ class TestTablesMatchReferences:
         top = alexandrov(pre)
         assert top == alexandrov_by_scan(pre)
         _check_tables(top)
+        _check_kernels(top)
         _check_scans(top)
         _check_spaces(top)
