@@ -23,9 +23,9 @@ _HOMES = {
         "NotPointLevelError", "SpaceContext", "axiom_vector", "check_point", "check_space",
     ), "axioms"),
     **dict.fromkeys((
-        "ClassPoset", "FiniteTopology", "MissingEmptyOrFullError",
-        "NotClosedUnderIntersectionError", "NotClosedUnderUnionError", "Preorder",
-        "TopologyError", "alexandrov", "class_poset", "disjoint_union", "validate_topology",
+        "FiniteTopology", "MissingEmptyOrFullError", "NotClosedUnderIntersectionError",
+        "NotClosedUnderUnionError", "Preorder", "TopologyError", "alexandrov",
+        "disjoint_union", "validate_topology",
     ), "core"),
 }
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
-from .core import FiniteTopology, Preorder, bit_indices, class_poset, union_table
+from .core import FiniteTopology, Preorder, bit_indices, union_table
 from .order import (
     bottoms_mask,
     bouquet_root,
@@ -568,26 +568,78 @@ def _c_s2(ctx: SpaceContext, x: int) -> bool:
 # ---------------------------------------------------------------------------
 # characterized space checks (order side)
 
-def _all_classes_trivial(ctx: SpaceContext) -> bool:
-    return all(ctx.cls[x] == 1 << x for x in range(ctx.n))
+def _first_failure(*conditions: Callable[[SpaceContext], dict | None]) -> Callable:
+    """A space check: the witness of the first of ``conditions`` that fails, else None.
+
+    Each condition returns None where it holds and its witness where it fails.
+    """
+    def run(ctx: SpaceContext) -> dict | None:
+        for condition in conditions:
+            wit = condition(ctx)
+            if wit is not None:
+                return wit
+        return None
+    return run
 
 
-def _c_t14_space(ctx: SpaceContext) -> dict | None:
-    if not _all_classes_trivial(ctx):
-        return {"reason": "not T0"}
-    if ctx.ht > 1:
-        return {"reason": "height", "height": ctx.ht}
-    return None
+def _t0_order(ctx: SpaceContext) -> dict | None:
+    if all(ctx.cls[x] == 1 << x for x in range(ctx.n)):
+        return None
+    return {"reason": "not T0"}
 
 
-def _c_t12_space(ctx: SpaceContext) -> dict | None:
-    wit = _c_t14_space(ctx)
-    if wit is not None:
-        return wit
-    for x in range(ctx.n):
-        if ctx.heights_pp[x] == 1 and ctx.up[x] != ctx.cls[x]:
-            return {"reason": "height-1 point not open", "point": x}
-    return None
+def _point_height(ctx: SpaceContext) -> dict | None:
+    return {"reason": "height", "height": ctx.ht} if ctx.ht > 1 else None
+
+
+def _class_height(ctx: SpaceContext) -> dict | None:
+    return {"height": ctx.ht} if ctx.ht > 1 else None
+
+
+def _height_one_open(reason: str) -> Callable:
+    def condition(ctx: SpaceContext) -> dict | None:
+        for x in range(ctx.n):
+            if ctx.heights_pp[x] == 1 and ctx.up[x] != ctx.cls[x]:
+                return {"reason": reason, "point": x}
+        return None
+    return condition
+
+
+def _downward_forest(ctx: SpaceContext) -> dict | None:
+    return None if is_downward_forest(ctx.pre) else {"reason": "not a downward forest"}
+
+
+def _upward_forest(ctx: SpaceContext) -> dict | None:
+    return None if is_upward_forest(ctx.pre) else {"reason": "not an upward forest"}
+
+
+def _min_s1_free(ctx: SpaceContext) -> dict | None:
+    wit = min_s1_witness(ctx.pre)
+    return None if wit is None else {"pattern": list(wit)}
+
+
+def _bouquet(ctx: SpaceContext) -> dict | None:
+    # the empty carrier has no class to delete and holds vacuously
+    if ctx.n == 0 or bouquet_root(ctx.pre) is not None:
+        return None
+    return {"reason": "no minimal class whose deletion leaves a downward forest"}
+
+
+def _down_discrete(ctx: SpaceContext) -> dict | None:
+    return None if is_down_discrete(ctx.pre) else {"reason": "not down-discrete"}
+
+
+_c_t14_space = _first_failure(_t0_order, _point_height)
+_c_t12_space = _first_failure(_t0_order, _point_height, _height_one_open("height-1 point not open"))
+_c_tys_space = _first_failure(_t0_order, _point_height, _downward_forest)
+_c_s14_space = _first_failure(_class_height)
+_c_s12_space = _first_failure(_class_height, _height_one_open("height-1 class not open"))
+_c_sy_space = _first_failure(_class_height, _min_s1_free)
+_c_sys_space = _first_failure(_class_height, _downward_forest)
+_c_syy_space = _first_failure(_class_height, _bouquet)
+_c_ssd_space = _first_failure(_upward_forest, _class_height)
+_c_sdelta_space = _first_failure(_upward_forest, _down_discrete)
+_c_sq_space = _first_failure(_downward_forest)
 
 
 def _fd_form_holds(down_t: list[int]) -> int | None:
@@ -611,85 +663,10 @@ def _c_t13_space(ctx: SpaceContext) -> dict | None:
 
 
 def _c_s13_space(ctx: SpaceContext) -> dict | None:
-    bad = _fd_form_holds(union_table(class_poset(ctx.pre).as_preorder().down))
+    bad = _fd_form_holds(union_table(ctx.pre.class_space()[0].down))
     if bad is None:
         return None
     return {"class_subset": sorted(bit_indices(bad))}
-
-
-def _c_tys_space(ctx: SpaceContext) -> dict | None:
-    if not _all_classes_trivial(ctx):
-        return {"reason": "not T0"}
-    if ctx.ht > 1:
-        return {"reason": "height", "height": ctx.ht}
-    if not is_downward_forest(ctx.pre):
-        return {"reason": "not a downward forest"}
-    return None
-
-
-def _c_s14_space(ctx: SpaceContext) -> dict | None:
-    if ctx.ht > 1:
-        return {"height": ctx.ht}
-    return None
-
-
-def _c_s12_space(ctx: SpaceContext) -> dict | None:
-    if ctx.ht > 1:
-        return {"height": ctx.ht}
-    for x in range(ctx.n):
-        if ctx.heights_pp[x] == 1 and ctx.up[x] != ctx.cls[x]:
-            return {"reason": "height-1 class not open", "point": x}
-    return None
-
-
-def _c_sy_space(ctx: SpaceContext) -> dict | None:
-    if ctx.ht > 1:
-        return {"height": ctx.ht}
-    wit = min_s1_witness(ctx.pre)
-    if wit is not None:
-        return {"pattern": list(wit)}
-    return None
-
-
-def _c_sys_space(ctx: SpaceContext) -> dict | None:
-    if ctx.ht > 1:
-        return {"height": ctx.ht}
-    if not is_downward_forest(ctx.pre):
-        return {"reason": "not a downward forest"}
-    return None
-
-
-def _c_syy_space(ctx: SpaceContext) -> dict | None:
-    if ctx.n == 0:
-        return None
-    if ctx.ht > 1:
-        return {"height": ctx.ht}
-    root = bouquet_root(ctx.pre)
-    if root is None:
-        return {"reason": "no minimal class whose deletion leaves a downward forest"}
-    return None
-
-
-def _c_ssd_space(ctx: SpaceContext) -> dict | None:
-    if not is_upward_forest(ctx.pre):
-        return {"reason": "not an upward forest"}
-    if ctx.ht > 1:
-        return {"height": ctx.ht}
-    return None
-
-
-def _c_sdelta_space(ctx: SpaceContext) -> dict | None:
-    if not is_upward_forest(ctx.pre):
-        return {"reason": "not an upward forest"}
-    if not is_down_discrete(ctx.pre):
-        return {"reason": "not down-discrete"}
-    return None
-
-
-def _c_sq_space(ctx: SpaceContext) -> dict | None:
-    if is_downward_forest(ctx.pre):
-        return None
-    return {"reason": "not a downward forest"}
 
 
 def _c_nested_space(ctx: SpaceContext) -> dict | None:

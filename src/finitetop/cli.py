@@ -202,7 +202,7 @@ def _emit(doc: Any) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     from .axioms import AXIOMS, CHARACTERIZED, DEFINITIONAL, SpaceContext, check_space
-    from .core import bit_indices, class_poset
+    from .core import bit_indices
     from .dynamics import classify_space, is_anosov_type
 
     top, labels = parse_space_doc(_load_json(args.file))
@@ -252,7 +252,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         "heights": {"per_point": list(ctx.heights_pp), "space": ctx.ht},
         "class_space": {
             "count": ctx.class_ctx[0].n,
-            "classes": [list(bit_indices(b)) for b in class_poset(ctx.pre).blocks],
+            "classes": [list(bit_indices(b)) for b in dict.fromkeys(ctx.cls)],
         },
         "dynamics": {
             "points": points_doc,
@@ -315,19 +315,20 @@ def _dot_escape(text: str) -> str:
 
 
 def _cmd_hasse(args: argparse.Namespace) -> int:
-    from .core import bit_indices, class_poset
+    from .core import bit_indices
 
     top, labels = parse_space_doc(_load_json(args.file))
-    cp = class_poset(top.specialization())
-    k = cp.n
+    pre = top.specialization()
+    leq = pre.class_space()[0].up
+    k = len(leq)
     lines = ["digraph hasse {", "  rankdir=BT;"]
-    for i, block in enumerate(cp.blocks):
+    for i, block in enumerate(dict.fromkeys(pre.cls)):
         members = ",".join(labels[x] if labels else str(x) for x in bit_indices(block))
         lines.append(f'  c{i} [label="{{{_dot_escape(members)}}}"];')
     for i in range(k):
-        for j in bit_indices(cp.leq[i] & ~(1 << i)):
+        for j in bit_indices(leq[i] & ~(1 << i)):
             covering = all(
-                not (cp.leq[i] >> m & 1 and cp.leq[m] >> j & 1)
+                not (leq[i] >> m & 1 and leq[m] >> j & 1)
                 for m in range(k) if m != i and m != j
             )
             if covering:

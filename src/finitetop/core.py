@@ -14,6 +14,10 @@ kernels do the bit arithmetic that both routes share, and encode no axiom:
 up-rows), ``union_table`` gives the union of the rows over every subset,
 and ``FiniteTopology.quotient`` reads the open entries of the blocks' union
 table, which is both the class space and the quotient by a decomposition.
+
+Each route has one class space, ``FiniteTopology.class_space`` and
+``Preorder.class_space``, with the same conventions: class ids go by least
+member, and a T0 space is its own class space.
 """
 
 from __future__ import annotations
@@ -298,63 +302,33 @@ class Preorder:
         down = self.down
         return tuple(self.up[x] & down[x] for x in range(self.n))
 
+    def class_space(self) -> tuple[Preorder, tuple[int, ...]]:
+        """The partial order on the equivalence classes and the point -> class map.
+
+        As in FiniteTopology.class_space, class ids go by least member and a
+        partial order is its own class space.  Row i of the quotient holds
+        the classes that meet the up-row of class i's least member.  Built
+        once per preorder and cached, so its callers share one build.
+        """
+        q, mapping = self._quotient
+        return (self if q is None else q), mapping
+
     @cached_property
-    def class_poset(self) -> ClassPoset:
-        """The partial order induced on the equivalence classes."""
+    def _quotient(self) -> tuple[Preorder | None, tuple[int, ...]]:
+        # a partial order stores None, not itself, so that no preorder
+        # refers to itself and each is freed by reference counting alone
         blocks = list(dict.fromkeys(self.cls))
-        reps = [b & -b for b in blocks]
-        leq = []
-        for b in reps:
-            row = 0
-            up_x = self.up[b.bit_length() - 1]
-            for j, c in enumerate(reps):
-                if up_x >> (c.bit_length() - 1) & 1:
-                    row |= 1 << j
-            leq.append(row)
-        return ClassPoset(self.n, tuple(blocks), tuple(leq))
+        if len(blocks) == self.n:
+            return None, tuple(range(self.n))
+        up = [self.up[(b & -b).bit_length() - 1] for b in blocks]
+        rows = tuple(sum(1 << j for j, c in enumerate(blocks) if c & u) for u in up)
+        return Preorder(len(blocks), rows), tuple(map(blocks.index, self.cls))
 
 
 def alexandrov(pre: Preorder) -> FiniteTopology:
     """The topology whose opens are exactly the upsets of the preorder."""
     # s is an upset iff the union of up[x] over its points adds nothing to it
     return FiniteTopology(pre.n, tuple(s for s, u in enumerate(union_table(pre.up)) if u == s))
-
-
-@dataclass(frozen=True)
-class ClassPoset:
-    """The partial order induced on closure-equality classes.
-
-    blocks are bitmaps over the source points, ordered by least member;
-    leq rows are bitmaps over block ids.
-    """
-
-    n_source: int
-    blocks: tuple[int, ...]
-    leq: tuple[int, ...]
-
-    @cached_property
-    def n(self) -> int:
-        return len(self.blocks)
-
-    @cached_property
-    def block_of(self) -> tuple[int, ...]:
-        out = [0] * self.n_source
-        for i, b in enumerate(self.blocks):
-            for x in bit_indices(b):
-                out[x] = i
-        return tuple(out)
-
-    def as_preorder(self) -> Preorder:
-        return Preorder(self.n, self.leq)
-
-
-def class_poset(pre: Preorder) -> ClassPoset:
-    """Collapse a preorder to the partial order on its equivalence classes.
-
-    The result is cached on the preorder, so every caller holding the same
-    preorder shares one build.
-    """
-    return pre.class_poset
 
 
 def disjoint_union(tops: Iterable[FiniteTopology]) -> FiniteTopology:

@@ -8,7 +8,7 @@ descending chain of classes below x^.
 
 from __future__ import annotations
 
-from .core import Preorder, bit_indices, class_poset
+from .core import Preorder, bit_indices
 
 
 def minimal_mask(pre: Preorder) -> int:
@@ -44,28 +44,18 @@ def heights(pre: Preorder) -> tuple[tuple[int, ...], int]:
 
     height(x) = length of the longest strictly descending class chain from
     x^ downward; the space height is the maximum (0 for the empty carrier).
+    Classes are visited by fewest classes below in the quotient partial
+    order, so each comes after every class strictly below it, and a point
+    takes its class's height.
     """
-    cp = class_poset(pre)
-    k = cp.n
-    memo: list[int | None] = [None] * k
-    leq = cp.leq
-
-    def ht(i: int) -> int:
-        got = memo[i]
-        if got is not None:
-            return got
-        best = 0
-        for j in range(k):
-            if j != i and leq[j] >> i & 1 and not leq[i] >> j & 1:
-                h = ht(j) + 1
-                if h > best:
-                    best = h
-        memo[i] = best
-        return best
-
-    per_class = [ht(i) for i in range(k)]
-    per_point = tuple(per_class[cp.block_of[x]] for x in range(pre.n))
-    return per_point, max(per_class, default=0)
+    q, mapping = pre.class_space()
+    down = q.down
+    per_class = [0] * q.n
+    for i in sorted(range(q.n), key=lambda i: down[i].bit_count()):
+        below = down[i] & ~(1 << i)
+        if below:
+            per_class[i] = 1 + max(per_class[j] for j in bit_indices(below))
+    return tuple(per_class[c] for c in mapping), max(per_class, default=0)
 
 
 def is_pre_chain(pre: Preorder, bits: int) -> bool:
@@ -125,9 +115,9 @@ def min_s1_witness(pre: Preorder) -> tuple[int, int, int, int] | None:
     c,d mutually incomparable.  Returns least class representatives
     (a, b, c, d) with a < b and c < d as ids, or None.
     """
-    cp = class_poset(pre)
-    k = cp.n
-    leq = cp.leq
+    q, mapping = pre.class_space()
+    k = q.n
+    leq = q.up
 
     def lt(i: int, j: int) -> bool:
         return bool(leq[i] >> j & 1) and not leq[j] >> i & 1
@@ -144,11 +134,7 @@ def min_s1_witness(pre: Preorder) -> tuple[int, int, int, int] | None:
                     continue
                 for d in range(c + 1, k):
                     if lt(a, d) and lt(b, d) and incomp(c, d):
-                        ra, rb, rc, rd = (
-                            (cp.blocks[i] & -cp.blocks[i]).bit_length() - 1
-                            for i in (a, b, c, d)
-                        )
-                        return ra, rb, rc, rd
+                        return tuple(map(mapping.index, (a, b, c, d)))
     return None
 
 
@@ -171,13 +157,11 @@ def bouquet_root(pre: Preorder) -> int | None:
     Returns the least representative point of the first such class, or None.
     The empty carrier has no classes and returns None.
     """
-    cp = class_poset(pre)
-    for i, block in enumerate(cp.blocks):
-        rep = (block & -block).bit_length() - 1
-        if pre.down[rep] != pre.cls[rep]:
-            continue
-        if is_downward_forest(_delete_class(pre, block)):
-            return rep
+    for x, block in enumerate(pre.cls):
+        # x is its class's least member, and minimal
+        if block & -block == 1 << x and pre.down[x] == block:
+            if is_downward_forest(_delete_class(pre, block)):
+                return x
     return None
 
 

@@ -18,6 +18,13 @@ closure as a union of rows, and a transpose read cell by cell.  The tests
 require the table-driven code and ``core.transpose`` to give the same
 tables, opens, witnesses, quotients and rows.
 
+The order group is what ``Preorder.class_space`` and the composed space
+checks replaced: the class poset with each row read off the least members
+one class at a time, the heights by memoized recursion over it, and the
+characterized space checks written out by hand, each stating its order
+conditions in full.  The tests require the same quotients, heights and
+witness dicts.
+
 The last group is the hand-written verdict-relation checks that the
 registry now states as verdict laws, shell readings and whole-space chains:
 each reads its verdicts or point masks one by one.  The tests require each
@@ -31,6 +38,13 @@ from typing import Callable, Iterator
 from finitetop.axioms import DEFINITIONAL, SpaceContext, check_space, point_mask
 from finitetop.core import FiniteTopology, Preorder, bit_indices
 from finitetop.enumerate import _check_size, _preorder_rows
+from finitetop.order import (
+    bouquet_root,
+    is_down_discrete,
+    is_downward_forest,
+    is_upward_forest,
+    min_s1_witness,
+)
 
 _UNDECIDED, _IN, _OUT = 0, 1, 2
 
@@ -248,6 +262,166 @@ def class_space_by_blocks(top: FiniteTopology) -> tuple[FiniteTopology, tuple[in
                 mask |= 1 << i
         q_opens.add(mask)
     return FiniteTopology(len(blocks), tuple(sorted(q_opens))), mapping
+
+
+def class_poset_by_reps(pre: Preorder) -> tuple[Preorder, tuple[int, ...]]:
+    """The partial order on the classes and the point -> class map, one cell at a time.
+
+    Row i holds class j iff the least member of class i lies below the
+    least member of class j.
+    """
+    blocks = list(dict.fromkeys(pre.cls))
+    reps = [b & -b for b in blocks]
+    leq = []
+    for b in reps:
+        row = 0
+        up_x = pre.up[b.bit_length() - 1]
+        for j, c in enumerate(reps):
+            if up_x >> (c.bit_length() - 1) & 1:
+                row |= 1 << j
+        leq.append(row)
+    mapping = [0] * pre.n
+    for i, b in enumerate(blocks):
+        for x in bit_indices(b):
+            mapping[x] = i
+    return Preorder(len(blocks), tuple(leq)), tuple(mapping)
+
+
+def heights_by_recursion(pre: Preorder) -> tuple[tuple[int, ...], int]:
+    """Per-point and space heights, each class's height memoized from the classes strictly below."""
+    q, mapping = class_poset_by_reps(pre)
+    k = q.n
+    memo: list[int | None] = [None] * k
+    leq = q.up
+
+    def ht(i: int) -> int:
+        got = memo[i]
+        if got is not None:
+            return got
+        best = 0
+        for j in range(k):
+            if j != i and leq[j] >> i & 1 and not leq[i] >> j & 1:
+                h = ht(j) + 1
+                if h > best:
+                    best = h
+        memo[i] = best
+        return best
+
+    per_class = [ht(i) for i in range(k)]
+    return tuple(per_class[mapping[x]] for x in range(pre.n)), max(per_class, default=0)
+
+
+def _all_classes_trivial(ctx: SpaceContext) -> bool:
+    return all(ctx.cls[x] == 1 << x for x in range(ctx.n))
+
+
+def c_t14_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if not _all_classes_trivial(ctx):
+        return {"reason": "not T0"}
+    if ctx.ht > 1:
+        return {"reason": "height", "height": ctx.ht}
+    return None
+
+
+def c_t12_space_by_hand(ctx: SpaceContext) -> dict | None:
+    wit = c_t14_space_by_hand(ctx)
+    if wit is not None:
+        return wit
+    for x in range(ctx.n):
+        if ctx.heights_pp[x] == 1 and ctx.up[x] != ctx.cls[x]:
+            return {"reason": "height-1 point not open", "point": x}
+    return None
+
+
+def c_tys_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if not _all_classes_trivial(ctx):
+        return {"reason": "not T0"}
+    if ctx.ht > 1:
+        return {"reason": "height", "height": ctx.ht}
+    if not is_downward_forest(ctx.pre):
+        return {"reason": "not a downward forest"}
+    return None
+
+
+def c_s14_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if ctx.ht > 1:
+        return {"height": ctx.ht}
+    return None
+
+
+def c_s12_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if ctx.ht > 1:
+        return {"height": ctx.ht}
+    for x in range(ctx.n):
+        if ctx.heights_pp[x] == 1 and ctx.up[x] != ctx.cls[x]:
+            return {"reason": "height-1 class not open", "point": x}
+    return None
+
+
+def c_sy_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if ctx.ht > 1:
+        return {"height": ctx.ht}
+    wit = min_s1_witness(ctx.pre)
+    if wit is not None:
+        return {"pattern": list(wit)}
+    return None
+
+
+def c_sys_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if ctx.ht > 1:
+        return {"height": ctx.ht}
+    if not is_downward_forest(ctx.pre):
+        return {"reason": "not a downward forest"}
+    return None
+
+
+def c_syy_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if ctx.n == 0:
+        return None
+    if ctx.ht > 1:
+        return {"height": ctx.ht}
+    root = bouquet_root(ctx.pre)
+    if root is None:
+        return {"reason": "no minimal class whose deletion leaves a downward forest"}
+    return None
+
+
+def c_ssd_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if not is_upward_forest(ctx.pre):
+        return {"reason": "not an upward forest"}
+    if ctx.ht > 1:
+        return {"height": ctx.ht}
+    return None
+
+
+def c_sdelta_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if not is_upward_forest(ctx.pre):
+        return {"reason": "not an upward forest"}
+    if not is_down_discrete(ctx.pre):
+        return {"reason": "not down-discrete"}
+    return None
+
+
+def c_sq_space_by_hand(ctx: SpaceContext) -> dict | None:
+    if is_downward_forest(ctx.pre):
+        return None
+    return {"reason": "not a downward forest"}
+
+
+# the characterized space check of each axiom, as written out by hand
+C_SPACE_BY_HAND = {
+    "T1/4": c_t14_space_by_hand,
+    "T1/2": c_t12_space_by_hand,
+    "TYS": c_tys_space_by_hand,
+    "S1/4": c_s14_space_by_hand,
+    "S1/2": c_s12_space_by_hand,
+    "SY": c_sy_space_by_hand,
+    "SYS": c_sys_space_by_hand,
+    "SYY": c_syy_space_by_hand,
+    "SSD": c_ssd_space_by_hand,
+    "Sdelta": c_sdelta_space_by_hand,
+    "SQ": c_sq_space_by_hand,
+}
 
 
 def coincide_by_verdicts(*axioms: str) -> Callable:

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -20,9 +22,11 @@ from finitetop.cli import (
     MAX_DOC_POINTS,
     DocumentError,
     _dumps,
+    main,
     parse_space_doc,
 )
-from finitetop.core import TopologyError
+from finitetop.core import TopologyError, bit_indices
+from finitetop.enumerate import enumerate_topologies
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 SPACE_SCHEMA = json.loads((DOCS / "spacedoc.schema.json").read_text())
@@ -83,6 +87,9 @@ SEED_VERIFY_N5_SHA256 = "f187d1f5f563a0545b921c3eecf5d06064ce1d9e5b5e765e7e747a7
 VERIFY_N6_SHA256 = "bca8868f24d5e53968daadea173c37835a70d87d24e809c04353d0671608fb9a"
 # sha256 of `verify all --n-max 7 --jobs 2` stdout, first recorded from the orbit-marking sweep
 VERIFY_N7_SHA256 = "c0b74392cade5c003890df56d2a260b0c0c59960d33d8638282911e6f72e427e"
+# sha256 of `classify` then `hasse` stdout on each class representative on at most 5
+# points, fed as an opens document; first recorded from the ClassPoset build
+CLASS_REPS_N5_SHA256 = "11b10db61a423bc929037bb797c50a4bfcb22809e0796ca7480a75449f60c0ec"
 
 SIERPINSKI_DOC = {"points": 2, "opens": [[], [1], [0, 1]]}
 GOLDEN4_DOC = {"points": 4, "opens": [[], [2], [0, 1], [0, 1, 2], [0, 1, 2, 3]],
@@ -503,6 +510,24 @@ class TestDeterminism:
         payload = json.dumps(GOLDEN4_DOC)
         outs = {run_cli("classify", stdin=payload)[1] for _ in range(3)}
         assert len(outs) == 1
+
+    def test_classify_and_hasse_on_class_representatives(self, tmp_path):
+        # in process: 372 interpreter starts would dominate the suite
+        path = tmp_path / "space.json"
+        digest = hashlib.sha256()
+        spaces = 0
+        for n in range(6):
+            for top in enumerate_topologies(n, up_to_iso=True):
+                doc = {"points": n, "opens": [list(bit_indices(u)) for u in top.opens]}
+                path.write_text(json.dumps(doc))
+                for command in ("classify", "hasse"):
+                    out = io.StringIO()
+                    with contextlib.redirect_stdout(out):
+                        assert main([command, str(path)]) == EXIT_OK, (command, doc)
+                    digest.update(out.getvalue().encode())
+                spaces += 1
+        assert spaces == 186
+        assert digest.hexdigest() == CLASS_REPS_N5_SHA256
 
     def test_verify_n5_matches_seed_reference(self):
         for jobs in ("1", "2"):

@@ -16,7 +16,6 @@ from finitetop.core import (
     TopologyError,
     alexandrov,
     bit_indices,
-    class_poset,
     disjoint_union,
     validate_topology,
 )
@@ -256,10 +255,11 @@ class TestClassSpace:
 
     def test_class_poset_blocks(self):
         pre = Preorder.from_pairs(3, [(0, 1), (1, 0), (0, 2)])
-        cp = class_poset(pre)
-        assert cp.blocks == (0b011, 0b100)
-        assert cp.leq == (0b11, 0b10)
-        assert cp.as_preorder().n == 2
+        q, mapping = pre.class_space()
+        # classes {0,1} and {2}, by least member
+        assert mapping == (0, 0, 1)
+        assert q.up == (0b11, 0b10)
+        assert q.n == 2
 
 
 class TestDisjointUnion:

@@ -1,7 +1,7 @@
 """The memoized paths against the uncached ones.
 
 A SpaceContext memoizes per-point verdict masks, check_space reports and
-the dynamics flags, a Preorder caches its class poset, and the pair sweep
+the dynamics flags, a Preorder caches its class space, and the pair sweep
 keeps one context per summand for one verify_all call.  Each test here
 recomputes the same values on fresh objects and requires identical
 results; the theorems that read masks are compared with the point loops
@@ -25,7 +25,7 @@ from finitetop.axioms import (
     check_space,
     point_mask,
 )
-from finitetop.core import Preorder, alexandrov, class_poset, disjoint_union
+from finitetop.core import Preorder, alexandrov, disjoint_union
 from finitetop.dynamics import _classify, classify_space
 from finitetop.enumerate import (
     _MODE_THEOREMS,
@@ -80,12 +80,12 @@ class TestSpaceMemo:
 
     def test_class_poset_matches_fresh_build(self):
         for pre, top in _labeled_spaces(4):
-            cached = class_poset(pre)
-            assert class_poset(pre) is cached
-            fresh = Preorder(pre.n, pre.up).class_poset
-            assert fresh is not cached
-            assert (cached.blocks, cached.leq) == (fresh.blocks, fresh.leq)
-            assert cached == class_poset(top.specialization())
+            q, mapping = pre.class_space()
+            assert all(a is b for a, b in zip(pre.class_space(), (q, mapping)))
+            fresh = Preorder(pre.n, pre.up).class_space()
+            assert fresh[0] is not q
+            assert fresh == (q, mapping)
+            assert top.specialization().class_space() == (q, mapping)
 
     def test_t0_space_is_its_own_class_context(self):
         seen = set()

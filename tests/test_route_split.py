@@ -122,7 +122,19 @@ def test_scan_follows_helpers_and_aliases():
         "def _d_leaky(qctx):\n    return _helper(qctx)\n"
         "_d_alias = _d_leaky\n"
         "def _d_order(ctx):\n    return heights(ctx.top)\n"
+        "def _first_failure(*conditions):\n"
+        "    def run(ctx):\n"
+        "        for condition in conditions:\n"
+        "            wit = condition(ctx)\n"
+        "            if wit is not None:\n"
+        "                return wit\n"
+        "        return None\n"
+        "    return run\n"
+        "def _cond(ctx):\n    return ctx.top\n"
+        "_c_x = _first_failure(_cond)\n"
     )
     assert _leaks("_d_alias", axioms.DEFINITIONAL, tree) == ["ctx.down_t"]
     assert _leaks("_d_order", axioms.DEFINITIONAL, tree) == ["heights"]
     assert _leaks("_d_order", axioms.CHARACTERIZED, tree) == ["ctx.top"]
+    # a composed checker reads what its conditions read
+    assert _leaks("_c_x", axioms.CHARACTERIZED, tree) == ["ctx.top"]

@@ -10,8 +10,16 @@ give the same tables, rows, opens, witnesses and quotients on every labeled
 space on at most 4 points, every class representative on 5 and 6, every
 partition of the class representatives on at most 4 points, and random
 preorders on 7-12 points with merged classes.
+
+On the order side, ``Preorder.class_space``, the heights read off it and
+the characterized space checks composed from order conditions must give
+the class poset read one cell at a time, the heights by recursion and the
+witness dicts of the checks written out by hand; each route's class space
+must be the other's under ``alexandrov``.
 """
 from __future__ import annotations
+
+import weakref
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,13 +28,17 @@ from finitetop.axioms import AXIOMS, SpaceContext, _fd_form_holds
 from finitetop.core import FiniteTopology, Preorder, alexandrov, bit_indices, transpose, union_table
 from finitetop.decomp import iter_partitions, quotient
 from finitetop.enumerate import enumerate_topologies
+from finitetop.order import heights
 
 from oracles import (
+    C_SPACE_BY_HAND,
     alexandrov_by_scan,
     c_lambda_space_by_scan,
+    class_poset_by_reps,
     class_space_by_blocks,
     down_closure,
     fd_form_holds_by_scan,
+    heights_by_recursion,
     quotient_by_combos,
     transpose_by_cells,
     union_table_by_bits,
@@ -64,17 +76,30 @@ def _check_scans(top: FiniteTopology) -> None:
     assert _fd_form_holds(ctx.down_t) == bad, top
     assert AXIOMS["T1/3"].char_space(ctx) == (
         None if bad is None else {"subset": sorted(bit_indices(bad))}), top
-    qpre = ctx.pre.class_poset.as_preorder()
+    qpre = class_poset_by_reps(ctx.pre)[0]
     qbad = fd_form_holds_by_scan(qpre.down, qpre.n)
     assert AXIOMS["S1/3"].char_space(ctx) == (
         None if qbad is None else {"class_subset": sorted(bit_indices(qbad))}), top
     assert AXIOMS["lambda"].char_space(ctx) == c_lambda_space_by_scan(ctx), top
+    assert heights(ctx.pre) == heights_by_recursion(ctx.pre), top
+    for axiom, by_hand in C_SPACE_BY_HAND.items():
+        assert AXIOMS[axiom].char_space(ctx) == by_hand(ctx), (top, axiom)
 
 
 def _check_spaces(top: FiniteTopology) -> None:
     assert top.class_space() == class_space_by_blocks(top), top
     pre = top.specialization()
     assert alexandrov(pre) == alexandrov_by_scan(pre) == top, top
+    q, mapping = pre.class_space()
+    assert (q, mapping) == class_poset_by_reps(pre), top
+    assert alexandrov(pre).class_space() == (alexandrov(q), mapping), top
+    if all(c == 1 << x for x, c in enumerate(pre.cls)):
+        # a partial order is its own class space, and its cache does not
+        # refer to it: reference counting alone frees it
+        assert q is pre, top
+        ref = weakref.ref(pre)
+        del pre, q
+        assert ref() is None, top
 
 
 @st.composite
