@@ -385,7 +385,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--n-max", type=int, default=5, dest="n_max",
                           help=f"carrier-size cap for the sweep, at most {MAX_CLASS_POINTS} (default 5)")
     p_verify.add_argument("--jobs", type=int, default=1,
-                          help="worker processes for the space sweep, at least 1 (default 1)")
+                          help="worker processes for sizes with more than 256 classes, at least 1 (default 1)")
     p_verify.add_argument("--timings", action="store_true",
                           help="include elapsed seconds in findings (non-reproducible)")
     p_verify.set_defaults(handler=_cmd_verify)

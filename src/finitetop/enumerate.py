@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .axioms import (
     AXIOMS,
@@ -228,7 +228,7 @@ def count_topologies(n: int, up_to_iso: bool = False) -> int:
 class Theorem:
     id: str
     description: str
-    scope: str  # "space" | "pair" | "partition"
+    scope: str  # a key of _SCOPES: "space" | "pair" | "partition"
     asserted: bool
     check: Callable
 
@@ -665,14 +665,6 @@ def _check_tau_f_quotient(top: FiniteTopology, dec: Decomposition) -> dict | Non
 # ---------------------------------------------------------------------------
 # verification driver
 
-def _space_theorem_ids(ids: Iterable[str] | None) -> list[str]:
-    chosen = list(_REGISTRY) if ids is None else list(ids)
-    for tid in chosen:
-        if tid not in _REGISTRY:
-            raise KeyError(f"unknown theorem {tid!r}")
-    return chosen
-
-
 def _sweep(ids: list[str], cases: Iterable[tuple[int, tuple]], payload: Callable) -> tuple[int, dict]:
     """Fold the theorems ``ids`` over ``cases``, each a pair (weight, args).
 
@@ -741,15 +733,14 @@ def _pair_payload(left: SpaceContext, right: SpaceContext, union: SpaceContext) 
             "n_right": right.n, "right_opens": _opens_doc(right.top)}
 
 
-def _partition_cases(classes: list[_Classes]
+def _partition_cases(n: int, reps: Iterable[tuple[tuple[int, ...], int]]
                      ) -> Iterator[tuple[int, tuple[FiniteTopology, Decomposition]]]:
-    """Every partition of every class representative, weighing its orbit size."""
-    for n, reps in enumerate(classes):
-        decs = list(iter_partitions(n))
-        for rows, size in reps:
-            top = alexandrov(Preorder(n, rows))
-            for dec in decs:
-                yield size, (top, dec)
+    """Every partition of every class representative on n points, weighing its orbit size."""
+    decs = list(iter_partitions(n))
+    for rows, size in reps:
+        top = alexandrov(Preorder(n, rows))
+        for dec in decs:
+            yield size, (top, dec)
 
 
 def _partition_payload(top: FiniteTopology, dec: Decomposition) -> dict:
@@ -757,81 +748,65 @@ def _partition_payload(top: FiniteTopology, dec: Decomposition) -> dict:
             "blocks": [sorted(bit_indices(b)) for b in dec.blocks]}
 
 
+def _by_size(classes: list[_Classes], jobs: int) -> tuple[list[tuple], list[tuple]]:
+    """Case-builder arguments (n, classes[n]), one per size, as (in process, pooled).
+
+    With jobs > 1 a size with more than 256 classes is cut into small slices
+    instead, which one pool hands out one at a time: a worker that runs ahead
+    takes the next slice, and neither idles at the other's long tail.
+    """
+    here, pooled = [], []
+    for n, reps in enumerate(classes):
+        if jobs > 1 and len(reps) > 256:
+            chunk = max(64, len(reps) // (jobs * 32))
+            pooled.extend((n, reps[i:i + chunk]) for i in range(0, len(reps), chunk))
+        else:
+            here.append((n, reps))
+    return here, pooled
+
+
+class _Scope(NamedTuple):
+    cap: Callable[[int], int]  # the largest size swept, given n_max
+    parts: Callable  # (classes, jobs) -> (in-process, pooled) case-builder arguments
+    cases: Callable  # case-builder arguments -> (weight, check arguments) cases
+    payload: Callable  # check arguments -> the case's part of a witness
+
+
+# one row per Theorem.scope; the pair scope is one in-process part, since it
+# builds one context per representative and shares it among all its pairs
 _SCOPES = {
-    "space": (_space_cases, _space_payload),
-    "pair": (_pair_cases, _pair_payload),
-    "partition": (_partition_cases, _partition_payload),
+    "space": _Scope(lambda n_max: n_max, _by_size, _space_cases, _space_payload),
+    "pair": _Scope(lambda n_max: min(n_max, 5), lambda classes, jobs: ([(classes,)], []),
+                   _pair_cases, _pair_payload),
+    "partition": _Scope(lambda n_max: min(n_max, 4), _by_size, _partition_cases, _partition_payload),
 }
 
 
 def _run_slice(task: tuple[str, list[str], tuple]) -> tuple[int, dict]:
     scope, ids, args = task
-    cases, payload = _SCOPES[scope]
-    return _sweep(ids, cases(*args), payload)
-
-
-def _scope_parts(scope: str, ids: list[str], classes: list[_Classes], jobs: int
-                 ) -> Iterator[tuple[int, dict]]:
-    """Sweep results of one scope over ``classes[n]`` for each size n, as parts in sweep order.
-
-    The pair and partition scopes are one part each.  The space scope is one
-    part per size; with jobs > 1 the sizes with more than 256 classes are
-    cut into small slices that one pool hands out one at a time, so a worker
-    that runs ahead takes the next slice and neither is left with a long
-    tail while the other idles.  The pool has no more workers than slices.
-    """
-    if scope != "space":
-        yield _run_slice((scope, ids, (classes,)))
-        return
-    pooled = []
-    for n, reps in enumerate(classes):
-        # counts grow with n, so every size run here precedes every pooled one
-        if jobs > 1 and len(reps) > 256:
-            chunk = max(64, len(reps) // (jobs * 32))
-            pooled.extend((scope, ids, (n, reps[i:i + chunk]))
-                          for i in range(0, len(reps), chunk))
-        else:
-            yield _run_slice((scope, ids, (n, reps)))
-    if pooled:
-        from multiprocessing import Pool
-
-        with Pool(min(jobs, len(pooled))) as pool:
-            yield from pool.imap(_run_slice, pooled)
-
-
-def _merge(parts: Iterable[tuple[int, dict]]) -> tuple[int, dict]:
-    """Sum case counts and seconds; keep each theorem's first witness in sweep order."""
-    count = 0
-    merged: dict[str, list] = {}
-    for part_count, slots in parts:
-        count += part_count
-        for tid, (witness, seconds) in slots.items():
-            slot = merged.setdefault(tid, [None, 0.0])
-            if slot[0] is None:
-                slot[0] = witness
-            slot[1] += seconds
-    return count, merged
+    row = _SCOPES[scope]
+    return _sweep(ids, row.cases(*args), row.payload)
 
 
 def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) -> list[Finding]:
     """Run theorems over all spaces (pairs, partitions) up to the size caps.
 
-    Space-scope theorems sweep all topologies on up to n_max points, pair
-    scope all ordered pairs with combined size at most min(n_max, 5), and
-    partition scope all partitions of all spaces on up to min(n_max, 4)
-    points.  The relabeling classes of every size come from one build per
-    call, and all three scopes sweep them, one least-encoded representative
-    per class, with weights that make the counts those of the labeled
-    sweep: a space, and each of its partitions, weighs its orbit size, and
-    a pair orbit(left) * orbit(right).  Every theorem is invariant under relabeling
+    Each scope sweeps up to the cap that its ``_SCOPES`` row takes from
+    n_max: space theorems all topologies, pair theorems all ordered pairs
+    up to that combined size, and partition theorems all partitions of all
+    spaces.  The relabeling classes of every size come from one build per
+    call, and every scope sweeps them, one least-encoded representative per
+    class, with weights that make the counts those of the labeled sweep: a
+    space, and each of its partitions, weighs its orbit size, and a pair
+    orbit(left) * orbit(right).  Every theorem is invariant under relabeling
     (a pair theorem under relabeling each summand on its own, a partition
     theorem under one permutation of the space and its blocks), so the
     least refuting labeled case is made of representatives and the
     witnesses are those of the labeled sweep.  The sweep always completes,
-    so counts are cap-determined and witnesses are minimal; jobs > 1 splits
-    the space sweep across processes with a deterministic merge.  A
-    finding's elapsed is the time spent in that theorem's checks, summed
-    over workers.
+    so counts are cap-determined and witnesses are minimal; with jobs > 1
+    the parts that the rows mark as pooled go to one worker pool, with a
+    deterministic merge.  A finding's elapsed is the time spent in that
+    theorem's checks, summed over workers.
 
     Each route's point checker runs once per space and axiom: a space's
     SpaceContext memoizes its point masks and verdicts while its theorems
@@ -840,25 +815,44 @@ def verify_all(ids: Iterable[str] | None = None, n_max: int = 5, jobs: int = 1) 
     pairs.  Nothing is cached across calls.
     """
     _check_size(n_max, MAX_CLASS_POINTS)
-    chosen = _space_theorem_ids(ids)
-    caps = {"space": n_max, "pair": min(n_max, 5), "partition": min(n_max, 4)}
-    scope_ids = {scope: [tid for tid in chosen if _REGISTRY[tid].scope == scope] for scope in caps}
-    largest = max((caps[scope] for scope in caps if scope_ids[scope]), default=-1)
+    chosen = list(_REGISTRY) if ids is None else list(ids)
+    by_scope: dict[str, list[str]] = {}
+    for tid in chosen:
+        if tid not in _REGISTRY:
+            raise KeyError(f"unknown theorem {tid!r}")
+        scope = _REGISTRY[tid].scope
+        if scope not in _SCOPES:
+            raise KeyError(f"theorem {tid!r} has unknown scope {scope!r}")
+        by_scope.setdefault(scope, []).append(tid)
+    caps = {scope: _SCOPES[scope].cap(n_max) for scope in by_scope}
     from .generate import _preorder_classes
 
-    classes = _preorder_classes(largest)
-    results: dict[str, tuple[int, dict | None, float]] = {}
-    for scope, cap in caps.items():
-        if scope_ids[scope]:
-            parts = _scope_parts(scope, scope_ids[scope], classes[:cap + 1], jobs)
-            count, slots = _merge(parts)
-            for tid, (witness, seconds) in slots.items():
-                results[tid] = (count, witness, seconds)
+    classes = _preorder_classes(max(caps.values(), default=-1))
+    results, pooled = [], []
+    for scope, scope_ids in by_scope.items():
+        here, there = _SCOPES[scope].parts(classes[:caps[scope] + 1], jobs)
+        results += [_run_slice((scope, scope_ids, args)) for args in here]
+        pooled += [(scope, scope_ids, args) for args in there]
+    if pooled:
+        from multiprocessing import Pool
+
+        with Pool(min(jobs, len(pooled))) as pool:
+            results += pool.imap(_run_slice, pooled)
+    # a theorem's first witness here is its least: in each scope the in-process
+    # parts (the smaller sizes) come first, and imap keeps the pooled ones in order
+    totals = {tid: [0, None, 0.0] for tid in chosen}
+    for count, slots in results:
+        for tid, (witness, seconds) in slots.items():
+            total = totals[tid]
+            total[0] += count
+            if total[1] is None:
+                total[1] = witness
+            total[2] += seconds
 
     findings = []
     for tid in chosen:
         theorem = _REGISTRY[tid]
-        count, witness, seconds = results[tid]
+        count, witness, seconds = totals[tid]
         findings.append(Finding(
             theorem=tid,
             description=theorem.description,

@@ -15,11 +15,13 @@ from finitetop.core import Preorder, alexandrov, bit_indices, disjoint_union
 from finitetop.decomp import Decomposition, iter_partitions, tau_F
 from finitetop.enumerate import (
     _REGISTRY,
+    _SCOPES,
     MAX_CLASS_POINTS,
     MAX_LABELED_POINTS,
     ImplicationMatrix,
     SizeTooLargeError,
     Theorem,
+    _by_size,
     _pair_payload,
     _partition_payload,
     _space_payload,
@@ -215,6 +217,18 @@ class TestRegistry:
         with pytest.raises(KeyError):
             verify_all(["no_such_theorem"], n_max=2)
 
+    def test_unknown_scope_fails_before_class_build(self, monkeypatch):
+        import finitetop.generate
+
+        def no_build(cap):
+            raise AssertionError("classes built before the scope was checked")
+
+        odd = Theorem("odd_scope_probe", "probe with a misspelled scope", "pairs", False, _neither_t1)
+        monkeypatch.setitem(_REGISTRY, odd.id, odd)
+        monkeypatch.setattr(finitetop.generate, "_preorder_classes", no_build)
+        with pytest.raises(KeyError, match="'odd_scope_probe' has unknown scope 'pairs'"):
+            verify_all(n_max=2)
+
 
 class TestVerify:
     def test_single_verified(self):
@@ -284,6 +298,42 @@ class TestVerify:
         # only the 718 classes on 6 points are sliced: twelve slices of up to 64
         assert sizes == [12]
         assert got == want
+
+    def test_slices_cover_each_size_once_in_order(self):
+        classes = _preorder_classes(7)
+        flat = [(n, rep) for n, reps in enumerate(classes) for rep in reps]
+        for jobs in (1, 2, 3):
+            here, pooled = _by_size(classes, jobs)
+            assert [(n, rep) for n, reps in here + pooled for rep in reps] == flat, jobs
+            sums = [0] * len(classes)
+            for n, reps in here + pooled:
+                sums[n] += sum(size for _, size in reps)
+            assert sums == list(LABELED[:8]), jobs
+            assert all(n > 5 for n, _ in pooled), jobs
+            assert bool(pooled) == (jobs > 1), jobs
+        # so `verify all --n-max 5` starts no pool, whatever --jobs says
+        for scope in _SCOPES.values():
+            assert scope.parts(classes[:scope.cap(5) + 1], 2)[1] == []
+
+    @pytest.mark.slow
+    def test_raised_caps_jobs_do_not_change_findings(self, monkeypatch):
+        # partitions at cap 6 are the first to be pooled: 718 classes on 6 points
+        for name in ("pair", "partition"):
+            monkeypatch.setitem(_SCOPES, name, _SCOPES[name]._replace(cap=lambda n_max: min(n_max, 6)))
+        for probe in (_PAIR_PROBE, _PARTITION_PROBE):
+            monkeypatch.setitem(_REGISTRY, probe.id, probe)
+        ids = [t.id for t in theorems() if t.scope in ("pair", "partition")]
+        strip = lambda fs: [(f.theorem, f.status, f.spaces_checked, f.n_max, f.witness) for f in fs]
+        base = strip(verify_all(ids, n_max=6, jobs=1))
+        bell = (1, 1, 2, 5, 15, 52, 203)  # OEIS A000110: partitions of n points
+        pairs = sum(LABELED[a] * LABELED[b] for a in range(7) for b in range(7 - a))
+        partitions = sum(labeled * b for labeled, b in zip(LABELED, bell))
+        want = {"pair": pairs, "partition": partitions}
+        assert (pairs, partitions) == (452307, 42900445)
+        for tid, status, count, cap, _ in base:
+            assert (count, cap) == (want[_REGISTRY[tid].scope], 6), tid
+            assert status == ("refuted" if tid in (_PAIR_PROBE.id, _PARTITION_PROBE.id) else "verified"), tid
+        assert strip(verify_all(ids, n_max=6, jobs=2)) == base
 
     def test_elapsed_is_time_spent_in_checks(self):
         start = time.perf_counter()
