@@ -378,22 +378,20 @@ def _d_nested_space(ctx: SpaceContext) -> dict | None:
     return None
 
 
+def _meet_witness(rows: tuple[int, ...], full: int) -> dict | None:
+    """None where the rows have empty intersection, else the points they share."""
+    acc = full
+    for row in rows:
+        acc &= row
+    return None if acc == 0 else {"points": sorted(bit_indices(acc))}
+
+
 def _d_wr0_space(ctx: SpaceContext) -> dict | None:
-    acc = ctx.full
-    for x in range(ctx.n):
-        acc &= ctx.closure1[x]
-    if acc == 0:
-        return None
-    return {"points": sorted(bit_indices(acc))}
+    return _meet_witness(ctx.closure1, ctx.full)
 
 
 def _d_wc0_space(ctx: SpaceContext) -> dict | None:
-    acc = ctx.full
-    for x in range(ctx.n):
-        acc &= ctx.kernel1[x]
-    if acc == 0:
-        return None
-    return {"points": sorted(bit_indices(acc))}
+    return _meet_witness(ctx.kernel1, ctx.full)
 
 
 def _d_lambda_space(ctx: SpaceContext) -> dict | None:
@@ -675,18 +673,23 @@ def _c_nested_space(ctx: SpaceContext) -> dict | None:
     return {"reason": "carrier is not a pre-chain"}
 
 
+def _least_point_witness(mask: int, key: str) -> dict | None:
+    """None where mask is empty, else its least point under key."""
+    return None if mask == 0 else {key: (mask & -mask).bit_length() - 1}
+
+
 def _c_wr0_space(ctx: SpaceContext) -> dict | None:
-    bottoms = bottoms_mask(ctx.pre)
-    if bottoms == 0:
-        return None
-    return {"bottom": (bottoms & -bottoms).bit_length() - 1}
+    return _least_point_witness(bottoms_mask(ctx.pre), "bottom")
 
 
 def _c_wc0_space(ctx: SpaceContext) -> dict | None:
-    tops = tops_mask(ctx.pre)
-    if tops == 0:
-        return None
-    return {"top": (tops & -tops).bit_length() - 1}
+    return _least_point_witness(tops_mask(ctx.pre), "top")
+
+
+def _c_true_space(ctx: SpaceContext) -> dict | None:
+    # a finite preorder has finitely many downsets, so every strictly
+    # descending chain of them is finite, and every set of points is finite
+    return None
 
 
 def _c_lambda_space(ctx: SpaceContext) -> dict | None:
@@ -783,9 +786,9 @@ _CATALOG = (
     AxiomSpec("recurrent", True, "each point class is closed or has a non-closed derived set",
               _d_recurrent, _c_recurrent),
     AxiomSpec("artinian", False, "no strictly descending chain of closed sets (finite: always)",
-              None, None, _d_true_space, _d_true_space),
+              None, None, _d_true_space, _c_true_space),
     AxiomSpec("anticompact", False, "every compact subset is finite (finite: always)",
-              None, None, _d_true_space, _d_true_space),
+              None, None, _d_true_space, _c_true_space),
 )
 
 AXIOMS: dict[str, AxiomSpec] = {spec.id: spec for spec in _CATALOG}

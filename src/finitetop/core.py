@@ -161,29 +161,26 @@ class FiniteTopology:
     def closed_set(self) -> frozenset[int]:
         return frozenset(self.closed)
 
-    def closure_bits(self, a: int) -> int:
-        """Smallest closed superset: intersection of all closed sets containing a."""
+    def _meet_containing(self, family: tuple[int, ...], a: int) -> int:
+        """The intersection of the members of family that hold a (full if none)."""
         acc = self.full_bits
-        for c in self.closed:
-            if a & ~c == 0:
-                acc &= c
-        return acc
-
-    def kernel_bits(self, a: int) -> int:
-        """Intersection of all opens containing a (itself open on a finite carrier)."""
-        acc = self.full_bits
-        for u in self.opens:
+        for u in family:
             if a & ~u == 0:
                 acc &= u
         return acc
 
+    def closure_bits(self, a: int) -> int:
+        """Smallest closed superset: intersection of all closed sets containing a."""
+        return self._meet_containing(self.closed, a)
+
+    def kernel_bits(self, a: int) -> int:
+        """Intersection of all opens containing a (itself open on a finite carrier)."""
+        return self._meet_containing(self.opens, a)
+
     def interior_bits(self, a: int) -> int:
-        """Largest open subset: union of all opens inside a."""
-        acc = 0
-        for u in self.opens:
-            if u & ~a == 0:
-                acc |= u
-        return acc
+        """Largest open subset: the complement of the closure of the complement."""
+        full = self.full_bits
+        return full ^ self.closure_bits(full & ~a)
 
     @cached_property
     def point_closures(self) -> tuple[int, ...]:
@@ -275,20 +272,14 @@ class Preorder:
             if not (0 <= x < n and 0 <= y < n):
                 raise ValueError(f"pair ({x},{y}) outside universe of size {n}")
             up[x] |= 1 << y
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: once k has been the pivot, each row holds every point
+        # reachable through pivots up to k
+        for k in range(n):
+            bit = 1 << k
+            row = up[k]
             for x in range(n):
-                row = up[x]
-                acc = row
-                r = row
-                while r:
-                    low = r & -r
-                    acc |= up[low.bit_length() - 1]
-                    r ^= low
-                if acc != row:
-                    up[x] = acc
-                    changed = True
+                if up[x] & bit:
+                    up[x] |= row
         return cls(n, tuple(up))
 
     @cached_property

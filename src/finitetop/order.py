@@ -19,24 +19,24 @@ def minimal_mask(pre: Preorder) -> int:
     return m
 
 
-def tops_mask(pre: Preorder) -> int:
-    """Points above everything: down(x) is the whole carrier."""
-    full = (1 << pre.n) - 1
+def _full_rows(rows: tuple[int, ...]) -> int:
+    """The points whose row is the whole carrier."""
+    full = (1 << len(rows)) - 1
     m = 0
-    for x in range(pre.n):
-        if pre.down[x] == full:
+    for x, row in enumerate(rows):
+        if row == full:
             m |= 1 << x
     return m
+
+
+def tops_mask(pre: Preorder) -> int:
+    """Points above everything: down(x) is the whole carrier."""
+    return _full_rows(pre.down)
 
 
 def bottoms_mask(pre: Preorder) -> int:
     """Points below everything: up(x) is the whole carrier."""
-    full = (1 << pre.n) - 1
-    m = 0
-    for x in range(pre.n):
-        if pre.up[x] == full:
-            m |= 1 << x
-    return m
+    return _full_rows(pre.up)
 
 
 def heights(pre: Preorder) -> tuple[tuple[int, ...], int]:

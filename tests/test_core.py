@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from functools import reduce
 from operator import and_, or_
 
@@ -19,6 +20,28 @@ from finitetop.core import (
     disjoint_union,
     validate_topology,
 )
+
+
+def reachable_by_search(n: int, pairs: list[tuple[int, int]]) -> tuple[int, ...]:
+    """Up-rows of the reflexive-transitive closure, by breadth-first search from each point."""
+    succ: list[list[int]] = [[] for _ in range(n)]
+    for x, y in pairs:
+        succ[x].append(y)
+    rows = []
+    for x in range(n):
+        seen = {x}
+        frontier = [x]
+        while frontier:
+            reached = []
+            for z in frontier:
+                for y in succ[z]:
+                    if y not in seen:
+                        seen.add(y)
+                        reached.append(y)
+            frontier = reached
+        rows.append(sum(1 << y for y in seen))
+    return tuple(rows)
+
 
 SIERPINSKI = FiniteTopology(2, (0, 0b10, 0b11))
 INDISCRETE2 = FiniteTopology(2, (0, 0b11))
@@ -159,11 +182,14 @@ class TestOperators:
         assert t.interior_bits(0b01) == 0
         assert t.interior_bits(0b10) == 0b10
 
-    def test_interior_closure_duality(self):
+    def test_interior_is_union_of_opens_inside(self):
         for top in all_topologies_brute(3):
-            full = (1 << 3) - 1
             for a in range(1 << 3):
-                assert top.interior_bits(a) == full & ~top.closure_bits(full & ~a)
+                honest = 0
+                for u in top.opens:
+                    if u & a == u:
+                        honest |= u
+                assert top.interior_bits(a) == honest
 
     def test_closure_is_least_closed_superset(self):
         for top in all_topologies_brute(3):
@@ -221,6 +247,12 @@ class TestPreorder:
         assert pre.up[0] == 0b111
         assert pre.up[1] == 0b110
         assert pre.down[2] == 0b111
+        rng = random.Random(20171)
+        for _ in range(3000):
+            n = rng.randint(0, 12)
+            density = rng.random() * 0.4
+            pairs = [(x, y) for x in range(n) for y in range(n) if rng.random() < density]
+            assert Preorder.from_pairs(n, pairs).up == reachable_by_search(n, pairs)
 
     def test_from_pairs_range_check(self):
         with pytest.raises(ValueError):

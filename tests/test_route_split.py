@@ -7,7 +7,8 @@ helpers of ``finitetop.order``.  The scan follows each checker of the
 catalog through the module-level functions of ``axioms.py`` it names, and
 collects every attribute read off a name ending in ``ctx`` and every order
 helper named.  ``core.union_table`` encodes no axiom, so both routes may
-build tables with it.
+build tables with it.  No module-level function of ``axioms.py`` may be
+reachable from checkers of both routes: they may share a cache, not logic.
 """
 from __future__ import annotations
 
@@ -47,8 +48,9 @@ def _order_helpers(tree: ast.Module) -> set[str]:
             for alias in node.names}
 
 
-def _reads(name: str, defs: dict[str, ast.AST], helpers: set[str]) -> tuple[set[str], set[str]]:
-    """(context attributes, order helpers) reachable from the module-level name."""
+def _walk(name: str, defs: dict[str, ast.AST],
+          helpers: set[str]) -> tuple[set[str], set[str], set[str]]:
+    """(module-level names, context attributes, order helpers) reachable from name."""
     attrs: set[str] = set()
     called: set[str] = set()
     seen: set[str] = set()
@@ -67,12 +69,12 @@ def _reads(name: str, defs: dict[str, ast.AST], helpers: set[str]) -> tuple[set[
                     todo.append(node.id)
                 elif node.id in helpers:
                     called.add(node.id)
-    return attrs, called
+    return seen, attrs, called
 
 
 def _leaks(name: str, mode: str, tree: ast.Module) -> list[str]:
     """What the checker bound to name reads outside its route's allow-list."""
-    attrs, called = _reads(name, _definitions(tree), _order_helpers(tree))
+    _, attrs, called = _walk(name, _definitions(tree), _order_helpers(tree))
     leaks = sorted(f"ctx.{a}" for a in attrs - ALLOWED[mode])
     if mode == axioms.DEFINITIONAL:
         leaks += sorted(called)
@@ -101,6 +103,21 @@ def test_each_checker_reads_only_its_route():
         leaks += [f"{axiom} {mode} {name}: {leak}" for leak in _leaks(name, mode, TREE)]
     assert len(covered) == 2 * len(axioms.AXIOMS)
     assert not leaks
+
+
+def _shared(checkers, tree: ast.Module) -> list[str]:
+    """The module-level names reachable from checkers of both routes."""
+    defs, helpers = _definitions(tree), _order_helpers(tree)
+    reached = {axioms.DEFINITIONAL: set(), axioms.CHARACTERIZED: set()}
+    for name, mode in checkers:
+        reached[mode] |= _walk(name, defs, helpers)[0]
+    return sorted(reached[axioms.DEFINITIONAL] & reached[axioms.CHARACTERIZED])
+
+
+def test_no_function_serves_both_routes():
+    # the routes may share a cache, never logic: a helper reachable from
+    # both would decide both verdicts at once
+    assert _shared([(name, mode) for _, name, mode in _catalog_checkers()], TREE) == []
 
 
 def test_each_table_reads_only_its_rows():
@@ -138,3 +155,8 @@ def test_scan_follows_helpers_and_aliases():
     assert _leaks("_d_order", axioms.CHARACTERIZED, tree) == ["ctx.top"]
     # a composed checker reads what its conditions read
     assert _leaks("_c_x", axioms.CHARACTERIZED, tree) == ["ctx.top"]
+    # a helper named from both routes is shared logic
+    assert _shared([("_d_leaky", axioms.DEFINITIONAL), ("_c_x", axioms.CHARACTERIZED)],
+                   tree) == []
+    assert _shared([("_d_alias", axioms.DEFINITIONAL), ("_helper", axioms.CHARACTERIZED)],
+                   tree) == ["_helper"]
